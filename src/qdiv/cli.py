@@ -52,9 +52,12 @@ def _max_order() -> int:
     if not raw:
         return DEFAULT_MAX_ORDER
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise UsageError(f"QDIV_MAX_ORDER must be an integer, got {raw!r}")
+    if cap < 0:
+        raise UsageError(f"QDIV_MAX_ORDER must be nonnegative, got {raw!r}")
+    return cap
 
 
 def _check_order(order: int) -> None:

@@ -27,8 +27,11 @@ tie the two families to the Jacobi triple product and are exposed as
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import threading
 from fractions import Fraction
+from operator import add
 from typing import Literal, Sequence
 
 from .series import QSeries, pochhammer_inf
@@ -47,33 +50,41 @@ class Family(enum.Enum):
 # -- exhaustive partition oracles ----------------------------------------------
 
 
+def _min_tail(family: Family, j: int, m: int) -> int:
+    """Least possible sum of j parts with indices strictly above m."""
+    base = j * m + j * (j + 1) // 2
+    return base if family is Family.A else 2 * base - j
+
+
+@functools.lru_cache(maxsize=1 << 17)
+def _count(family: Family, rem: int, j: int, m_prev: int) -> int:
+    """Weighted count of j-part representations of rem with indices above m_prev.
+
+    Depends on neither the target n nor k, so one cache serves every oracle
+    call of a family; it is bounded because `--allow-slow` tables may reach
+    states far beyond the few thousand of a verify run.
+    """
+    if j == 0:
+        return 1 if rem == 0 else 0
+    total = 0
+    m = m_prev + 1
+    while family.part_value(m) + _min_tail(family, j - 1, m) <= rem:
+        v = family.part_value(m)
+        tail = _min_tail(family, j - 1, m)
+        s = 1
+        while s * v + tail <= rem:
+            sub = _count(family, rem - s * v, j - 1, m)
+            if sub:
+                total += s * sub
+            s += 1
+        m += 1
+    return total
+
+
 def _oracle(n: int, k: int, family: Family) -> int:
     if n < 1 or k < 1:
         raise ValueError("oracle requires n >= 1 and k >= 1")
-
-    def min_tail(j: int, m: int) -> int:
-        # least possible sum of j parts with indices strictly above m
-        base = j * m + j * (j + 1) // 2
-        return base if family is Family.A else 2 * base - j
-
-    def rec(rem: int, j: int, m_prev: int) -> int:
-        if j == 0:
-            return 1 if rem == 0 else 0
-        total = 0
-        m = m_prev + 1
-        while family.part_value(m) + min_tail(j - 1, m) <= rem:
-            v = family.part_value(m)
-            tail = min_tail(j - 1, m)
-            s = 1
-            while s * v + tail <= rem:
-                sub = rec(rem - s * v, j - 1, m)
-                if sub:
-                    total += s * sub
-                s += 1
-            m += 1
-        return total
-
-    return rec(n, k, 0)
+    return _count(family, n, k, 0)
 
 
 def oracle_a(n: int, k: int) -> int:
@@ -89,38 +100,93 @@ def oracle_c(n: int, k: int) -> int:
 # -- the three series routes ----------------------------------------------------
 
 
-def _lambert_factor(v: int, order: int) -> QSeries:
-    """q^v/(1-q^v)^2 = sum_{s>=1} s q^(s*v), truncated."""
-    data = [0] * (order + 1)
-    s = 1
-    while s * v <= order:
-        data[s * v] = s
-        s += 1
-    return QSeries(data, order)
+def _feasible_rows(family: Family, order: int) -> int:
+    """Largest j whose least part sum (j(j+1)/2 for A, j^2 for C) is <= order."""
+    j = 0
+    while _min_tail(family, j + 1, 0) <= order:
+        j += 1
+    return j
+
+
+def _add_part(dst: list, src: list, lo: int, v: int, order: int) -> None:
+    """dst += q^v * src / (1-q^v)^2 in place, for int lists vanishing below lo.
+
+    The shifted copy of src is divided by (1-q^v) twice as two running sums
+    of stride v, one block of v coefficients at a time.
+    """
+    t = src[lo : order + 1 - v]
+    n = len(t)
+    for _ in range(2):
+        for b in range(v, n, v):
+            t[b : b + v] = map(add, t[b : b + v], t[b - v : b])
+    start = lo + v
+    dst[start:] = map(add, dst[start:], t)
+
+
+def _direct_rows(family: Family, k: int, order: int) -> tuple:
+    """Rows 0..k of the defining sum, built on int lists in one pass over the parts.
+
+    Part values are taken in descending order, so when v is added row j-1
+    holds the sum over (j-1)-tuples of strictly larger parts, and row j gains
+    q^v/(1-q^v)^2 times it.  lo[j] is the least exponent where row j can be
+    nonzero; coefficients below lo[j-1] + v are never touched.
+    """
+    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
+    lo = [0] + [order + 1] * k
+    values = range(order, 0, -1) if family is Family.A else range(
+        order if order % 2 else order - 1, 0, -2
+    )
+    for v in values:
+        for j in range(k, 1, -1):
+            start = lo[j - 1] + v
+            if start <= order:
+                _add_part(rows[j], rows[j - 1], lo[j - 1], v, order)
+                lo[j] = start
+        if k:  # row 1 is the Lambert series sum_v sum_s s q^(s*v)
+            row = rows[1]
+            for s, e in enumerate(range(v, order + 1, v), 1):
+                row[e] += s
+            lo[1] = v
+    return tuple(QSeries._wrap(row) for row in rows)
+
+
+_TABLES: dict = {}
+_TABLES_KEPT = 8
+_TABLES_LOCK = threading.Lock()
+
+
+def _direct_table(family: Family, k: int, order: int) -> tuple:
+    """Shared immutable rows of the defining sum for (family, order).
+
+    Holds at least rows 0..k, capped at the last feasible row; a request for
+    more rows than the held table has rebuilds it.  The few most recently
+    used (family, order) tables are kept.
+    """
+    key = (family, order)
+    want = min(k, _feasible_rows(family, order))
+    with _TABLES_LOCK:
+        rows = _TABLES.pop(key, None)
+        if rows is None or len(rows) <= want:
+            rows = _direct_rows(family, want, order)
+        _TABLES[key] = rows
+        while len(_TABLES) > _TABLES_KEPT:
+            del _TABLES[next(iter(_TABLES))]
+    return rows
 
 
 def gen_direct(family: Family, k: int, order: int) -> QSeries:
     """The defining sum over strictly increasing k-tuples of parts.
 
-    Accumulates part values in descending order, so row j-1 always holds the
-    sum over (j-1)-tuples of strictly larger parts; tuples whose minimal
-    contribution exceeds `order` never touch a tracked coefficient.  k = 0 is
-    the empty product, i.e. the constant series 1.
+    Read from the shared table of `_direct_rows`; rows beyond the last
+    feasible one are the zero series.  k = 0 is the empty product, i.e. the
+    constant series 1.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return QSeries.one(order)
-    rows: list[QSeries] = [QSeries.one(order)] + [QSeries.zero(order)] * k
-    values = range(order, 0, -1) if family is Family.A else range(
-        order if order % 2 else order - 1, 0, -2
-    )
-    for v in values:
-        lam = _lambert_factor(v, order)
-        for j in range(k, 0, -1):
-            if not rows[j - 1].is_zero:
-                rows[j] = rows[j] + lam * rows[j - 1]
-    return rows[k]
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    rows = _direct_table(family, k, order)
+    return rows[k] if k < len(rows) else QSeries.zero(order)
 
 
 def gen_explicit(family: Family, k: int, order: int) -> QSeries:
@@ -131,32 +197,31 @@ def gen_explicit(family: Family, k: int, order: int) -> QSeries:
     Family C:  (-1)^k/(2k)!  * sum_{n>=k} (-1)^n 2n (n+k-1)!/(n-k)! q^(n^2)
                times (-q;q)_inf/(q;q)_inf.
 
-    The falling-factorial ratios vanish for n < k, so both sums may start at
-    n = 0 (resp. n = 1); only exponents <= order are generated.
+    The falling-factorial ratios vanish for n < k, so both sums start at
+    n = k; only exponents <= order are generated.  When n = k is already
+    past the order, the answer is the zero series.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     data = [0] * (order + 1)
+    n = k
     if family is Family.A:
-        n = 0
         while n * (n + 1) // 2 <= order:
             ff = math.prod(range(n - k + 1, n + k + 1))  # (n+k)!/(n-k)!
-            if ff:
-                sign = -1 if n & 1 else 1
-                data[n * (n + 1) // 2] += sign * (2 * n + 1) * ff
+            data[n * (n + 1) // 2] += (-1) ** n * (2 * n + 1) * ff
             n += 1
-        theta = QSeries(data, order)
+    else:
+        while n * n <= order:
+            ff = math.prod(range(n - k + 1, n + k))  # (n+k-1)!/(n-k)!
+            data[n * n] += (-1) ** n * 2 * n * ff
+            n += 1
+    if n == k:
+        return QSeries.zero(order)
+    theta = QSeries(data, order)
+    if family is Family.A:
         prefactor = (pochhammer_inf(1, 1, 1, order) ** 3).inverse()
         scale = Fraction((-1) ** k, math.factorial(2 * k + 1))
     else:
-        n = 1
-        while n * n <= order:
-            ff = math.prod(range(n - k + 1, n + k))  # (n+k-1)!/(n-k)!
-            if ff:
-                sign = -1 if n & 1 else 1
-                data[n * n] += sign * 2 * n * ff
-            n += 1
-        theta = QSeries(data, order)
         prefactor = pochhammer_inf(-1, 1, 1, order) * pochhammer_inf(
             1, 1, 1, order
         ).inverse()
@@ -171,13 +236,17 @@ def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
     C_k = [ (2*C_1 + (k-1)^2) C_{k-1} - q d/dq C_{k-1} ] / (2k (2k-1))
 
     The k = 1 instance of each relation is an identity in the seed rather
-    than a constructor, so k = 1 returns the seed unchanged.
+    than a constructor, so k = 1 returns the seed unchanged.  Zero is a
+    fixed point of the recurrence, so the loop stops once A_j (C_j) vanishes
+    through the order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     seed = gen_direct(family, 1, order)
     cur = seed
     for j in range(2, k + 1):
+        if cur.is_zero:
+            break
         if family is Family.A:
             cur = ((6 * seed + j * (j - 1)) * cur - 2 * cur.q_derivative()) / (
                 (2 * j + 1) * 2 * j

@@ -135,18 +135,31 @@ def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
     return out
 
 
+def monomial_columns(weight_bound: int, order: int) -> dict[QMMonomial, QSeries]:
+    """Series of every monomial of weight <= weight_bound, keyed by monomial.
+
+    The basis of every smaller weight bound is a subset, so decomposing
+    several targets can share one column set through `decompose(columns=...)`.
+    """
+    basis = monomial_basis(weight_bound)
+    return dict(zip(basis, _monomial_series(basis, order)))
+
+
 def decompose(
     target: QSeries,
     weight_bound: int,
     order: int,
     description: str = "",
+    columns: Optional[dict[QMMonomial, QSeries]] = None,
 ) -> QMDecomposition:
     """Exactly decompose `target` over the weight-bounded monomial basis.
 
     Solves coefficients 0..min(basis_size + 4, order), then verifies the
     candidate against every coefficient through `order`.  Raises
     NoDecompositionError when either stage fails; an underdetermined solve
-    pins free columns to zero and flags the result as ambiguous.
+    pins free columns to zero and flags the result as ambiguous.  `columns`,
+    from `monomial_columns` at any weight bound >= this one and exactly this
+    order, saves rebuilding the basis series.
     """
     basis = monomial_basis(weight_bound)
     if order < 2 * len(basis):
@@ -158,7 +171,10 @@ def decompose(
         raise ValueError(
             f"target only tracks coefficients to {target.order}, cannot verify to {order}"
         )
-    columns = _monomial_series(basis, order)
+    if columns is None:
+        columns = _monomial_series(basis, order)
+    else:
+        columns = [columns[m] for m in basis]
     solve_top = min(len(basis) + 4, order)
     solver = IncrementalSolver(len(basis))
     for n in range(solve_top + 1):

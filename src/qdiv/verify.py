@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c, theta_f, theta_g
-from .quasimodular import NoDecompositionError, decompose
+from .quasimodular import NoDecompositionError, decompose, monomial_columns
 from .series import QSeries, pochhammer_inf
 
 Rational = Union[int, Fraction]
@@ -269,16 +269,21 @@ def verify_quasimodularity(
     Records decomposition sizes in the report details, along with an
     informational probe showing that the odd-part family's C_1 does NOT
     decompose in this basis (expected; its failure does not fail the suite).
+    The Eisenstein columns of weight <= 2k_max are built once and shared by
+    every decomposition.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     t0 = time.perf_counter()
     details: dict = {}
     mismatch = None
+    columns = monomial_columns(2 * k_max, order)
     for k in range(1, k_max + 1):
         target = _tap(gen_direct(Family.A, k, order), f"A_{k}", perturb)
         try:
-            dec = decompose(target, 2 * k, order, description=f"A_{k}")
+            dec = decompose(
+                target, 2 * k, order, description=f"A_{k}", columns=columns
+            )
         except NoDecompositionError as e:
             mismatch = Mismatch(None, e.exponent, e.lhs, e.rhs)
             break
@@ -289,7 +294,10 @@ def verify_quasimodularity(
         }
     if mismatch is None:
         try:
-            decompose(gen_direct(Family.C, 1, order), 2, order, description="C_1")
+            decompose(
+                gen_direct(Family.C, 1, order), 2, order,
+                description="C_1", columns=columns,
+            )
             details["C_1_probe"] = {"status": "decomposed-unexpectedly"}
         except NoDecompositionError as e:
             details["C_1_probe"] = {

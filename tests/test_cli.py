@@ -1,7 +1,14 @@
 """CLI contract tests: exit codes, formats, caps, stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import qdiv
 from qdiv.cli import EXIT_INTERNAL, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from qdiv.verify import Mismatch, VerificationReport
 
@@ -91,6 +98,28 @@ def test_coeffs_k0_only_direct(capsys):
 def test_coeffs_invalid_family_usage_error(capsys):
     rc, _, _ = run(capsys, ["coeffs", "--family", "X", "--k", "1", "--order", "5"])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+@pytest.mark.parametrize("method,k", [
+    ("direct", 1000000),
+    ("explicit", 100000),
+    ("recurrence", 100000),
+])
+def test_coeffs_infeasible_k_is_zero_at_once(family, method, k):
+    # no k-part sum fits below q^100, so every route must answer zero without
+    # working through k; a fresh process with a timeout fails instead of hanging
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdiv.cli", "coeffs", "--family", family,
+         "--k", str(k), "--order", "100", "--method", method, "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=15,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines() == [f"{n},0" for n in range(1, 101)]
 
 
 # -- decompose --------------------------------------------------------------------
@@ -237,6 +266,13 @@ def test_order_cap_bad_value(capsys, monkeypatch):
     monkeypatch.setenv("QDIV_MAX_ORDER", "many")
     rc, _, _ = run(capsys, ["coeffs", "--family", "A", "--k", "1", "--order", "5"])
     assert rc == EXIT_USAGE
+
+
+def test_order_cap_negative_refused(capsys, monkeypatch):
+    monkeypatch.setenv("QDIV_MAX_ORDER", "-5")
+    rc, _, err = run(capsys, ["coeffs", "--family", "A", "--k", "1", "--order", "0"])
+    assert rc == EXIT_USAGE
+    assert "QDIV_MAX_ORDER must be nonnegative" in err
 
 
 def test_negative_order_usage(capsys):

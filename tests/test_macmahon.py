@@ -6,6 +6,7 @@ so the oracle/series cross-checks elsewhere rest on two unrelated codepaths.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from qdiv.macmahon import (
     theta_f,
     theta_g,
 )
-from qdiv.macmahon import _lambert_factor
+from qdiv.macmahon import _add_part, _direct_rows
 from qdiv.series import QSeries
 
 
@@ -99,11 +100,12 @@ def test_gen_direct_c2_first_term():
 
 
 def test_gen_direct_lambert_route():
-    # the accumulated part factor really is q^v / (1-q^v)^2
-    for v in (1, 2, 5):
-        lam = _lambert_factor(v, 30)
+    # one step applied to row 0 adds exactly the part factor q^v / (1-q^v)^2
+    for v in (1, 2, 5, 30):
+        row = [0] * 31
+        _add_part(row, [1] + [0] * 30, 0, v, 30)
         denom = (QSeries.one(30) - QSeries.monomial(v, 30)) ** 2
-        assert lam == QSeries.monomial(v, 30) * denom.inverse()
+        assert QSeries(row, 30) == QSeries.monomial(v, 30) * denom.inverse()
 
 
 @pytest.mark.parametrize("family,threshold", [
@@ -117,6 +119,38 @@ def test_gen_direct_vanishing_thresholds(family, threshold):
         for n in range(t):
             assert s.coefficient(n) == 0
         assert s.coefficient(t) == 1  # unique minimal representation
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_direct_rows_match_oracle_and_explicit(seed):
+    rng = random.Random(7000 + seed)
+    for trial in range(12):
+        family = rng.choice([Family.A, Family.C])
+        k = rng.randint(0, 6)
+        # order 0 and 1 and small orders put k past the last feasible row
+        order = [0, 1][trial] if trial < 2 else rng.choice(
+            [rng.randint(2, 12), rng.randint(13, 150)]
+        )
+        oracle = oracle_a if family is Family.A else oracle_c
+        rows = _direct_rows(family, k, order)
+        assert len(rows) == k + 1
+        assert rows[0] == QSeries.one(order)
+        for j in range(k + 1):
+            assert gen_direct(family, j, order) == rows[j]
+        for j in range(1, k + 1):
+            assert rows[j].coefficient(0) == 0
+            for n in range(1, min(order, 30) + 1):
+                assert rows[j].coefficient(n) == oracle(n, j)
+            assert gen_explicit(family, j, order) == rows[j]
+
+
+def test_gen_direct_beyond_feasible_rows_is_zero():
+    # 13 is the last k with k(k+1)/2 <= 100, 10 the last with k^2 <= 100
+    assert not gen_direct(Family.A, 13, 100).is_zero
+    assert gen_direct(Family.A, 14, 100) == QSeries.zero(100)
+    assert not gen_direct(Family.C, 10, 100).is_zero
+    assert gen_direct(Family.C, 11, 100) == QSeries.zero(100)
+    assert gen_direct(Family.A, 10**6, 100) == QSeries.zero(100)
 
 
 # -- gen_explicit and gen_recurrence -------------------------------------------------

@@ -18,6 +18,7 @@ from qdiv.quasimodular import (
     eval_decomposition,
     fit_divisor_form,
     monomial_basis,
+    monomial_columns,
 )
 from qdiv.series import QSeries, divisor_sigma, eisenstein
 
@@ -97,6 +98,17 @@ def test_decompose_roundtrip(k):
     target = gen_direct(Family.A, k, 100)
     dec = decompose(target, 2 * k, 100)
     assert eval_decomposition(dec, 100) == target
+
+
+def test_decompose_with_shared_columns_matches_own_columns():
+    # a column set built once at a higher weight serves every smaller basis
+    columns = monomial_columns(6, 60)
+    assert list(columns) == monomial_basis(6)
+    for k in (1, 2, 3):
+        target = gen_direct(Family.A, k, 60)
+        assert decompose(target, 2 * k, 60, columns=columns) == decompose(
+            target, 2 * k, 60
+        )
 
 
 def test_derivative_closure():

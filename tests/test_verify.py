@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qdiv.macmahon import Family
+from qdiv.macmahon import Family, gen_direct, gen_explicit
 from qdiv.verify import (
     Mismatch,
     Perturbation,
@@ -142,6 +142,20 @@ def test_quasimodular_perturbation_beyond_solve_window():
     r = verify_quasimodularity(1, 60, perturb=Perturbation("A_1", 30))
     assert not r.passed
     assert r.first_mismatch.q_exponent == 30
+
+
+def test_perturbation_does_not_leak_into_shared_rows():
+    # the suites share one row table per (family, order) in a process; a
+    # perturbed run must leave it as it was for the runs that follow
+    clean = gen_explicit(Family.A, 2, 30)
+    assert gen_direct(Family.A, 2, 30) == clean
+    perturbed = verify_theorem_f(3, 60, perturb=Perturbation("A_2", 5, 1))
+    assert not perturbed.passed
+    assert gen_direct(Family.A, 2, 30) == clean
+    assert verify_theorem_f(3, 60).passed
+    assert verify_method_agreement(Family.A, 2, 30).passed
+    assert verify_quasimodularity(2, 60).passed
+    assert gen_direct(Family.A, 2, 30) == clean
 
 
 def test_perturbation_of_unknown_target_is_inert():
