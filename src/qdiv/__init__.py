@@ -6,12 +6,8 @@ families A_k and C_k by four independent routes, rescaled Chebyshev
 polynomials and their bivariate theta series, verification suites for the
 triple-product identities connecting them, and constructive quasi-modular
 decompositions over E2, E4, E6.
-
-Hot kernels live in a compiled extension when available; set
-QDIV_PURE_PYTHON=1 to force the pure-Python fallback (see kernel_backend()).
 """
 
-from ._backend import kernel_backend
 from .macmahon import (
     BivarSeries,
     Family,
@@ -56,6 +52,12 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "python"
+
 
 __all__ = [
     "BivarSeries",

@@ -1,18 +1,61 @@
-"""Pure-Python kernels for truncated series arithmetic.
+"""Kernels for truncated series arithmetic on plain coefficient lists.
 
-Fallback twin of the compiled module qdiv._kernels; both operate on plain
-lists of exact coefficients (int or fractions.Fraction) and must stay
-behaviourally identical.  Selected at import time by qdiv._backend.
+Coefficients are exact: int or fractions.Fraction.  `conv_trunc` multiplies
+int lists by Kronecker substitution, so the work is one CPython bigint
+multiply; lists holding a Fraction take the schoolbook loop, which is also
+the reference the tests compare the int path against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-BACKEND_NAME = "python"
-
 
 def conv_trunc(a: list, b: list, order: int) -> list:
+    """Coefficients of a*b through q^order.
+
+    For int inputs each list is packed into one integer with a slot of
+    `nbytes` bytes per coefficient, wide enough for any coefficient of the
+    product plus a sign bit; the two integers are multiplied once and the
+    slots of the product are read back as the coefficients (Kronecker
+    substitution).
+    """
+    n_out = order + 1
+    a, b = a[:n_out], b[:n_out]
+    if not set(map(type, a)) | set(map(type, b)) <= {int}:
+        return conv_schoolbook(a, b, order)
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+    if not bound:  # a zero operand: slots sized by the bound would not hold the other one
+        return [0] * n_out
+    nbytes = bound.bit_length() // 8 + 1
+    width = 8 * nbytes
+    product = _pack(a, nbytes) * _pack(b, nbytes)
+    # Every slot of the product lies in (-2^(width-1), 2^(width-1)); adding
+    # 2^(width-1) to each makes them the unsigned digits of the sum, with no
+    # borrow between slots.
+    half = 1 << (width - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n_out, "little")
+    digits = ((product + bias) & ((1 << width * n_out) - 1)).to_bytes(nbytes * n_out, "little")
+    return [
+        int.from_bytes(digits[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * n_out, nbytes)
+    ]
+
+
+def _pack(coeffs: list, nbytes: int) -> int:
+    """sum of c_i * 2^(8*nbytes*i) for ints with |c_i| < 2^(8*nbytes - 1).
+
+    The two's-complement slots read as one unsigned integer overstate each
+    negative c_i by 2^(8*nbytes), i.e. by one unit of the next slot; the
+    packed borrow mask takes that back.
+    """
+    packed = b"".join([c.to_bytes(nbytes, "little", signed=True) for c in coeffs])
+    borrow = bytearray(len(packed))
+    borrow[::nbytes] = bytes(map((0).__gt__, coeffs))
+    return int.from_bytes(packed, "little") - (int.from_bytes(borrow, "little") << (8 * nbytes))
+
+
+def conv_schoolbook(a: list, b: list, order: int) -> list:
     """Coefficients of a*b through q^order (schoolbook, zero-skipping)."""
     n_out = order + 1
     out = [0] * n_out

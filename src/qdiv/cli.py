@@ -22,7 +22,7 @@ import traceback
 from typing import Optional, Sequence
 
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c
-from .quasimodular import NoDecompositionError, decompose, monomial_basis
+from .quasimodular import NoDecompositionError, decompose, monomial_count
 from .series import QSeries
 from .verify import (
     VerificationReport,
@@ -138,10 +138,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     weight_bound = 2 * args.k if args.weight_bound is None else args.weight_bound
     if weight_bound < 0 or weight_bound % 2:
         raise UsageError("--weight-bound must be even and nonnegative")
-    if args.order < 2 * len(monomial_basis(weight_bound)):
+    if monomial_count(weight_bound, args.order // 2) > args.order // 2:
         raise UsageError(
             f"--order {args.order} too small to overdetermine the weight-"
-            f"{weight_bound} basis (need >= {2 * len(monomial_basis(weight_bound))})"
+            f"{weight_bound} basis (more than {args.order // 2} monomials; "
+            "need an order of at least twice the basis size)"
         )
     target = gen_direct(Family.A, args.k, args.order)
     try:
@@ -206,11 +207,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("all", "agreement", "quasimodular") and args.k_max < 1:
         raise UsageError(f"--suite {args.suite} requires --k-max >= 1")
     if args.suite in ("all", "quasimodular"):
-        need = 2 * len(monomial_basis(2 * args.k_max))
-        if args.order < need:
+        if monomial_count(2 * args.k_max, args.order // 2) > args.order // 2:
             raise UsageError(
                 f"--order {args.order} too small for the quasimodular suite at "
-                f"k_max {args.k_max} (need >= {need})"
+                f"k_max {args.k_max} (the weight-{2 * args.k_max} basis has more "
+                f"than {args.order // 2} monomials; need an order of at least "
+                "twice the basis size)"
             )
     reports = _run_suites(args.suite, args.k_max, args.order)
     if args.format == "json":

@@ -219,14 +219,22 @@ def gen_explicit(family: Family, k: int, order: int) -> QSeries:
         return QSeries.zero(order)
     theta = QSeries(data, order)
     if family is Family.A:
-        prefactor = (pochhammer_inf(1, 1, 1, order) ** 3).inverse()
         scale = Fraction((-1) ** k, math.factorial(2 * k + 1))
     else:
-        prefactor = pochhammer_inf(-1, 1, 1, order) * pochhammer_inf(
-            1, 1, 1, order
-        ).inverse()
         scale = Fraction((-1) ** k, math.factorial(2 * k))
-    return (theta * prefactor) * scale
+    return (theta * _explicit_prefactor(family, order)) * scale
+
+
+@functools.lru_cache(maxsize=8)
+def _explicit_prefactor(family: Family, order: int) -> QSeries:
+    """The k-independent eta-type factor of `gen_explicit`, built once per (family, order).
+
+    (q;q)_inf^-3 for A, (-q;q)_inf/(q;q)_inf for C.  Only `gen_explicit`
+    reads it, so the other routes share nothing with it.
+    """
+    if family is Family.A:
+        return (pochhammer_inf(1, 1, 1, order) ** 3).inverse()
+    return pochhammer_inf(-1, 1, 1, order) * pochhammer_inf(1, 1, 1, order).inverse()
 
 
 def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
@@ -399,22 +407,32 @@ class BivarSeries:
         )
 
 
-def theta_f(x_degree_bound: int, q_order: int) -> BivarSeries:
-    """F(x,q) = sum_{n>=0} P_{2n+1}(x) q^(n^2+n), x-degrees above the bound dropped.
+def _theta(odd: int, x_degree_bound: int, q_order: int) -> BivarSeries:
+    """sum_n P_{2n+odd}(x) q^(n^2+odd*n), x-degrees above the bound dropped.
 
-    Only odd x-degrees are populated.
+    odd = 1 is F, summed from n = 0; odd = 0 is G, summed from n = 1 with
+    constant term 1.  Only x-degrees of the parity of `odd` are populated.
     """
     grid = [[0] * (q_order + 1) for _ in range(x_degree_bound + 1)]
-    n = 0
-    while n * n + n <= q_order:
-        poly = cheb_rescaled(2 * n + 1)
-        e = n * n + n
-        for d in range(1, min(x_degree_bound, poly.degree) + 1, 2):
+    if not odd:
+        grid[0][0] = 1
+    n = 1 - odd
+    while (e := n * (n + odd)) <= q_order:
+        poly = cheb_rescaled(2 * n + odd)
+        for d in range(odd, min(x_degree_bound, poly.degree) + 1, 2):
             c = poly.coefficient(d)
             if c:
                 grid[d][e] += c
         n += 1
     return BivarSeries([QSeries(row, q_order) for row in grid])
+
+
+def theta_f(x_degree_bound: int, q_order: int) -> BivarSeries:
+    """F(x,q) = sum_{n>=0} P_{2n+1}(x) q^(n^2+n), x-degrees above the bound dropped.
+
+    Only odd x-degrees are populated.
+    """
+    return _theta(1, x_degree_bound, q_order)
 
 
 def theta_g(x_degree_bound: int, q_order: int) -> BivarSeries:
@@ -422,15 +440,4 @@ def theta_g(x_degree_bound: int, q_order: int) -> BivarSeries:
 
     Only even x-degrees are populated.
     """
-    grid = [[0] * (q_order + 1) for _ in range(x_degree_bound + 1)]
-    grid[0][0] = 1
-    n = 1
-    while n * n <= q_order:
-        poly = cheb_rescaled(2 * n)
-        e = n * n
-        for d in range(0, min(x_degree_bound, poly.degree) + 1, 2):
-            c = poly.coefficient(d)
-            if c:
-                grid[d][e] += c
-        n += 1
-    return BivarSeries([QSeries(row, q_order) for row in grid])
+    return _theta(0, x_degree_bound, q_order)

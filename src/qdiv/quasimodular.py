@@ -112,6 +112,25 @@ def monomial_basis(weight_bound: int) -> list[QMMonomial]:
     return basis
 
 
+def monomial_count(weight_bound: int, limit: int) -> int:
+    """len(monomial_basis(weight_bound)), or limit + 1 if that exceeds limit.
+
+    Counts without building the basis and stops as soon as the count passes
+    `limit`, so an oversized weight bound is refused in time set by the
+    limit, not by the roughly weight_bound^3/288 monomials.
+    """
+    if weight_bound < 0 or weight_bound % 2:
+        raise ValueError("weight bound must be even and nonnegative")
+    half = weight_bound // 2
+    count = 0
+    for c in range(half // 3 + 1):
+        m = half - 3 * c  # pairs (a, b) with a + 2b <= m
+        count += (m // 2 + 1) * (m + 1 - m // 2)
+        if count > limit:
+            return limit + 1
+    return count
+
+
 def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
     gens = {w: eisenstein(w, order) for w in (2, 4, 6)}
     pow_cache: dict[tuple[int, int], QSeries] = {}
@@ -161,12 +180,13 @@ def decompose(
     from `monomial_columns` at any weight bound >= this one and exactly this
     order, saves rebuilding the basis series.
     """
-    basis = monomial_basis(weight_bound)
-    if order < 2 * len(basis):
+    if monomial_count(weight_bound, order // 2) > order // 2:
         raise ValueError(
-            f"order {order} too small: need at least twice the basis size "
-            f"({2 * len(basis)}) to overdetermine the system"
+            f"order {order} too small: the weight-{weight_bound} basis has more "
+            f"than {order // 2} monomials, and the system needs at least twice "
+            "the basis size to be overdetermined"
         )
+    basis = monomial_basis(weight_bound)
     if order > target.order:
         raise ValueError(
             f"target only tracks coefficients to {target.order}, cannot verify to {order}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 
 Rational = Union[int, Fraction]
 

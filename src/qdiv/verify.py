@@ -135,23 +135,65 @@ def _first_mismatch(
 
 def perturbable_targets(suite: str, k_max: int) -> list[str]:
     """Intermediate-series names a Perturbation may address, per suite."""
-    if suite == "theorem-f":
+    if suite in ("theorem-f", "theorem-g"):
+        odd = int(suite == "theorem-f")
+        rows = "A" if odd else "C"
         return (
             ["prefactor"]
-            + [f"A_{k}" for k in range(k_max + 1)]
-            + [f"theta_x{d}" for d in range(2 * k_max + 2)]
-        )
-    if suite == "theorem-g":
-        return (
-            ["prefactor"]
-            + [f"C_{k}" for k in range(k_max + 1)]
-            + [f"theta_x{d}" for d in range(2 * k_max + 1)]
+            + [f"{rows}_{k}" for k in range(k_max + 1)]
+            + [f"theta_x{d}" for d in range(2 * k_max + odd + 1)]
         )
     if suite == "agreement":
         return ["direct", "explicit", "recurrence"]
     if suite == "quasimodular":
         return [f"A_{k}" for k in range(1, k_max + 1)]
     raise ValueError(f"unknown suite {suite!r}")
+
+
+def _verify_theorem(
+    odd: int, k_max: int, order: int, perturb: Optional[Perturbation]
+) -> VerificationReport:
+    """The triple-product suite: theorem-f for odd = 1, theorem-g for odd = 0.
+
+    The x^(2k+odd) entry of F (G) must equal the prefactor times A_k(q^2)
+    (C_k(q)) for k <= k_max, and every other entry through x^(2k_max+odd)
+    must vanish.  A_k is built to half the q-order, since it enters through
+    q -> q^2.  Theta, prefactor and row builders are looked up as module
+    globals on each call.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    t0 = time.perf_counter()
+    bound = 2 * k_max + odd
+    theta = (theta_f if odd else theta_g)(bound, order)
+    entries = [_tap(theta.entry(d), f"theta_x{d}", perturb) for d in range(bound + 1)]
+    if odd:
+        prefactor = pochhammer_inf(1, 2, 2, order) ** 3
+    else:
+        prefactor = pochhammer_inf(1, 1, 1, order) * pochhammer_inf(-1, 1, 1, order).inverse()
+    prefactor = _tap(prefactor, "prefactor", perturb)
+    family = Family.A if odd else Family.C
+    row_order = (order + 1) // 2 if odd else order
+    expected = {}
+    for k in range(k_max + 1):
+        row = _tap(gen_direct(family, k, row_order), f"{family.value}_{k}", perturb)
+        if odd:
+            row = row.substitute(2).truncate(order)
+        expected[2 * k + odd] = prefactor * row
+    zero = QSeries.zero(order)
+    mismatch = None
+    for d in range(bound + 1):
+        mismatch = _first_mismatch(entries[d], expected.get(d, zero), order, d)
+        if mismatch is not None:
+            break
+    return VerificationReport(
+        identity_name="theorem-f" if odd else "theorem-g",
+        parameters={"k_max": k_max, "order": order},
+        checked_order=order,
+        status="fail" if mismatch else "pass",
+        first_mismatch=mismatch,
+        elapsed=time.perf_counter() - t0,
+    )
 
 
 def verify_theorem_f(
@@ -162,32 +204,7 @@ def verify_theorem_f(
     Also asserts that every even x-degree entry of F vanishes.  k_max = 0 is
     the seed identity sum (-1)^n (2n+1) q^(n^2+n) = (q^2;q^2)_inf^3.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    t0 = time.perf_counter()
-    bound = 2 * k_max + 1
-    theta = theta_f(bound, order)
-    entries = [_tap(theta.entry(d), f"theta_x{d}", perturb) for d in range(bound + 1)]
-    prefactor = _tap(pochhammer_inf(1, 2, 2, order) ** 3, "prefactor", perturb)
-    half = (order + 1) // 2
-    expected = {}
-    for k in range(k_max + 1):
-        a_k = _tap(gen_direct(Family.A, k, half), f"A_{k}", perturb)
-        expected[2 * k + 1] = prefactor * a_k.substitute(2).truncate(order)
-    zero = QSeries.zero(order)
-    mismatch = None
-    for d in range(bound + 1):
-        mismatch = _first_mismatch(entries[d], expected.get(d, zero), order, d)
-        if mismatch is not None:
-            break
-    return VerificationReport(
-        identity_name="theorem-f",
-        parameters={"k_max": k_max, "order": order},
-        checked_order=order,
-        status="fail" if mismatch else "pass",
-        first_mismatch=mismatch,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _verify_theorem(1, k_max, order, perturb)
 
 
 def verify_theorem_g(
@@ -198,35 +215,7 @@ def verify_theorem_g(
     Also asserts that every odd x-degree entry of G vanishes.  k_max = 0 is
     the seed identity 1 + 2 sum (-1)^n q^(n^2) = (q;q)_inf/(-q;q)_inf.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    t0 = time.perf_counter()
-    bound = 2 * k_max
-    theta = theta_g(bound, order)
-    entries = [_tap(theta.entry(d), f"theta_x{d}", perturb) for d in range(bound + 1)]
-    prefactor = _tap(
-        pochhammer_inf(1, 1, 1, order) * pochhammer_inf(-1, 1, 1, order).inverse(),
-        "prefactor",
-        perturb,
-    )
-    expected = {}
-    for k in range(k_max + 1):
-        c_k = _tap(gen_direct(Family.C, k, order), f"C_{k}", perturb)
-        expected[2 * k] = prefactor * c_k
-    zero = QSeries.zero(order)
-    mismatch = None
-    for d in range(bound + 1):
-        mismatch = _first_mismatch(entries[d], expected.get(d, zero), order, d)
-        if mismatch is not None:
-            break
-    return VerificationReport(
-        identity_name="theorem-g",
-        parameters={"k_max": k_max, "order": order},
-        checked_order=order,
-        status="fail" if mismatch else "pass",
-        first_mismatch=mismatch,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _verify_theorem(0, k_max, order, perturb)
 
 
 def verify_method_agreement(

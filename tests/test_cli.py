@@ -177,6 +177,26 @@ def test_decompose_usage_errors(capsys):
     assert rc == EXIT_USAGE  # csv applies only to coefficient tables
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "quasimodular", "--k-max", "500", "--order", "100"],
+    ["decompose", "--k", "1", "--order", "100", "--weight-bound", "1000"],
+])
+def test_oversized_weight_bound_refused_at_once(argv):
+    # the weight-1000 basis has about 3.5 million monomials; the order check
+    # must not build them, and a fresh process with a timeout fails instead
+    # of hanging
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdiv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "too small" in proc.stderr
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -1,107 +1,119 @@
-"""Backend parity: the compiled kernels must match the pure-Python twin."""
+"""Kernel properties: Kronecker-substitution conv_trunc against the schoolbook loop."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import qdiv
-from qdiv import _kernels_py
-from qdiv._backend import kernel_backend
-
-try:
-    from qdiv import _kernels
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels is None, reason="compiled kernel extension not built"
-)
+from qdiv import _kernels_py, kernel_backend
 
 
-def random_coeffs(rng, n, rational=False):
+def random_coeffs(rng, n, rational=False, bound=50, density=1.0):
     out = []
     for _ in range(n):
-        if rational and rng.random() < 0.4:
+        if rng.random() >= density:
+            out.append(0)
+        elif rational and rng.random() < 0.4:
             out.append(Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
         else:
-            out.append(rng.randint(-50, 50))
+            out.append(rng.randint(-bound, bound))
     return out
 
 
-@needs_compiled
-@pytest.mark.parametrize("rational", [False, True])
-def test_conv_trunc_backends_agree(rational):
-    rng = random.Random(9001 + rational)
-    for _ in range(30):
+def assert_matches_schoolbook(a, b, order):
+    out = _kernels_py.conv_trunc(a, b, order)
+    assert out == _kernels_py.conv_schoolbook(a, b, order)
+    assert len(out) == order + 1
+    assert all(type(c) is int for c in out)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_conv_zero_and_length_one_lists(order):
+    cases = [
+        ([0], [0]),
+        ([0] * 7, [3, -1, 4]),
+        ([2, -9], [0] * 3),
+        ([], [1, 2]),
+        ([5], [-3]),
+        ([-2], [4, 0, -1, 8]),
+        ([1, 1, 1, 1, 1, 1, 1], [-1]),
+    ]
+    for a, b in cases:
+        assert_matches_schoolbook(a, b, order)
+        assert_matches_schoolbook(b, a, order)
+
+
+def test_conv_order_zero_and_inputs_past_the_order():
+    rng = random.Random(404)
+    for _ in range(40):
+        order = rng.choice([0, 0, 1, rng.randint(2, 30)])
+        a = random_coeffs(rng, rng.randint(order + 2, order + 40))
+        b = random_coeffs(rng, rng.randint(1, order + 40))
+        assert_matches_schoolbook(a, b, order)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_mixed_sign_bigints(seed):
+    rng = random.Random(7000 + seed)
+    for _ in range(60):
+        order = rng.randint(0, 100)
+        bound = 2 ** rng.choice([1, 7, 8, 63, 64, 200, 256])
+        density = rng.choice([0.05, 0.3, 1.0])
+        a = random_coeffs(rng, rng.randint(1, order + 10), bound=bound, density=density)
+        b = random_coeffs(rng, rng.randint(1, order + 10), bound=bound, density=density)
+        assert_matches_schoolbook(a, b, order)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_conv_one_operand_with_negatives(seed):
+    rng = random.Random(8100 + seed)
+    for _ in range(40):
+        order = rng.randint(0, 80)
+        bound = 2 ** rng.choice([3, 32, 256])
+        a = [abs(c) for c in random_coeffs(rng, rng.randint(1, order + 5), bound=bound)]
+        b = random_coeffs(rng, rng.randint(1, order + 5), bound=bound)
+        b[rng.randrange(len(b))] = -bound  # at least one negative, at full size
+        assert_matches_schoolbook(a, b, order)
+        assert_matches_schoolbook(b, a, order)
+        assert_matches_schoolbook([-c for c in a], [-c for c in a], order)
+
+
+def test_fraction_inputs_take_the_schoolbook_path(monkeypatch):
+    schoolbook = _kernels_py.conv_schoolbook
+    calls = []
+
+    def spy(a, b, order):
+        calls.append(order)
+        return schoolbook(a, b, order)
+
+    monkeypatch.setattr(_kernels_py, "conv_schoolbook", spy)
+    rng = random.Random(9001)
+    for n in range(30):
         order = rng.randint(0, 60)
-        a = random_coeffs(rng, rng.randint(1, order + 5), rational)
-        b = random_coeffs(rng, rng.randint(1, order + 5), rational)
-        assert _kernels.conv_trunc(a, b, order) == _kernels_py.conv_trunc(a, b, order)
+        a = random_coeffs(rng, rng.randint(1, order + 5), rational=True)
+        b = random_coeffs(rng, rng.randint(1, order + 5))
+        a[rng.randrange(len(a))] = Fraction(1, 3)
+        a, b = (a, b) if n % 2 else (b, a)
+        assert _kernels_py.conv_trunc(a, b, order) == schoolbook(a, b, order)
+    assert len(calls) == 30
 
-
-@needs_compiled
-@pytest.mark.parametrize("a0", [1, -1, 2, Fraction(3, 7)])
-def test_inverse_trunc_backends_agree(a0):
-    rng = random.Random(1234)
-    for _ in range(20):
-        order = rng.randint(0, 50)
-        a = [a0] + random_coeffs(rng, order, rational=True)
-        assert _kernels.inverse_trunc(a, order) == _kernels_py.inverse_trunc(a, order)
+    calls.clear()
+    _kernels_py.conv_trunc([1, -2, 3], [4, 5], 6)
+    assert calls == []
 
 
 def test_inverse_unit_constant_stays_integer():
     a = [1, -1, 4, -9]
-    for mod in [m for m in (_kernels_py, _kernels) if m is not None]:
-        out = mod.inverse_trunc(a, 10)
-        assert all(isinstance(v, int) for v in out)
+    out = _kernels_py.inverse_trunc(a, 10)
+    assert all(isinstance(v, int) for v in out)
 
 
 def test_conv_respects_truncation():
     a = [1] * 10
     b = [1] * 10
-    for mod in [m for m in (_kernels_py, _kernels) if m is not None]:
-        out = mod.conv_trunc(a, b, 4)
-        assert out == [1, 2, 3, 4, 5]
+    assert _kernels_py.conv_trunc(a, b, 4) == [1, 2, 3, 4, 5]
+    assert _kernels_py.conv_schoolbook(a, b, 4) == [1, 2, 3, 4, 5]
 
 
 def test_backend_is_reported():
-    assert kernel_backend() in ("cython", "python")
-
-
-def _backend_in_child(extra_env):
-    """Kernel backend reported by a fresh interpreter importing this qdiv.
-
-    The child sees a stand-in compiled extension named 'cython', so the
-    choice between the two backends is visible without a C build.  Its
-    PYTHONPATH is the directory holding the qdiv package imported here
-    (src/ in a checkout, site-packages after an install); the rest of its
-    environment is minimal, so no QDIV_* variable leaks in from this process.
-    """
-    code = (
-        "import sys, types\n"
-        "stub = types.ModuleType('qdiv._kernels')\n"
-        "stub.BACKEND_NAME = 'cython'\n"
-        "sys.modules['qdiv._kernels'] = stub\n"
-        "import qdiv; print(qdiv.kernel_backend())\n"
-    )
-    package_dir = str(Path(qdiv.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, **extra_env},
-    )
-
-
-def test_pure_python_fallback_forced_by_env():
-    control = _backend_in_child({})
-    assert control.returncode == 0, control.stderr
-    assert control.stdout.strip() == "cython"
-
-    proc = _backend_in_child({"QDIV_PURE_PYTHON": "1"})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "python"
+    assert kernel_backend() == "python"

@@ -19,6 +19,7 @@ from qdiv.quasimodular import (
     fit_divisor_form,
     monomial_basis,
     monomial_columns,
+    monomial_count,
 )
 from qdiv.series import QSeries, divisor_sigma, eisenstein
 
@@ -48,6 +49,17 @@ def test_monomial_basis_weight_six():
 def test_monomial_basis_rejects_odd_bound():
     with pytest.raises(ValueError):
         monomial_basis(3)
+
+
+def test_monomial_count_matches_basis_and_stops_past_the_limit():
+    for w in range(0, 62, 2):
+        size = len(monomial_basis(w))
+        assert monomial_count(w, 10**9) == size
+        assert monomial_count(w, size) == size
+        assert monomial_count(w, size - 1) == size  # past the limit: limit + 1
+    assert monomial_count(10**12, 50) == 51
+    with pytest.raises(ValueError):
+        monomial_count(3, 10)
 
 
 def test_monomial_weight():
