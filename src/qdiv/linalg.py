@@ -3,7 +3,12 @@
 Equations are fed one at a time in a meaningful order (coefficient exponent,
 partition index, ...), each scaled to an integer row; elimination uses only
 integer cross-multiplication plus gcd normalization, so no floating point and
-no intermediate rationals.  Feeding incrementally makes inconsistency
+no intermediate rationals.  Each step `row = p*row - v*prow` first divides
+the multipliers p and v by gcd(p, v) (the content reduction of fraction-free
+elimination, Bareiss 1968), so an incoming row stays about as wide as the
+stored rows instead of gaining the width of every pivot it meets.  The
+stored rows do not depend on it: a primitive, sign-fixed row in reduced
+echelon form is unique.  Feeding incrementally makes inconsistency
 witnesses exact: the first equation that cannot be satisfied together with
 its predecessors is reported the moment it arrives.
 
@@ -34,16 +39,25 @@ def _integer_row(coeffs: Sequence, rhs) -> list[int]:
 
 
 def _normalize(row: list[int], lead: int) -> None:
-    g = 0
-    for v in row:
-        if v:
-            g = math.gcd(g, v)
+    g = math.gcd(*row)
     if g > 1:
         for i, v in enumerate(row):
             row[i] = v // g
     if 0 <= lead < len(row) and row[lead] < 0:
         for i, v in enumerate(row):
             row[i] = -v
+
+
+def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
+    """(p/g)*row - (v/g)*prow with p = prow[col], v = row[col], g = gcd(p, v).
+
+    The result is zero at `col` and is the undivided step p*row - v*prow
+    divided by g, so it spans the same line and `_normalize` maps both to
+    the same row.
+    """
+    p, v = prow[col], row[col]
+    g = math.gcd(p, v)
+    return [(p // g) * a - (v // g) * b for a, b in zip(row, prow)]
 
 
 class IncrementalSolver:
@@ -70,20 +84,16 @@ class IncrementalSolver:
             raise ValueError(f"expected {self.n_cols} coefficients, got {len(coeffs)}")
         row = _integer_row(coeffs, rhs)
         for prow, pc in zip(self._rows, self._pivot_cols):
-            v = row[pc]
-            if v:
-                p = prow[pc]
-                row = [p * a - v * b for a, b in zip(row, prow)]
+            if row[pc]:
+                row = _eliminate(row, prow, pc)
         lead = next((j for j in range(self.n_cols) if row[j]), None)
         if lead is None:
             return row[-1] == 0
         _normalize(row, lead)
         # keep full reduced form: clear the new pivot column everywhere above
-        p = row[lead]
         for i, prow in enumerate(self._rows):
-            v = prow[lead]
-            if v:
-                updated = [p * a - v * b for a, b in zip(prow, row)]
+            if prow[lead]:
+                updated = _eliminate(prow, row, lead)
                 _normalize(updated, self._pivot_cols[i])
                 self._rows[i] = updated
         self._rows.append(row)

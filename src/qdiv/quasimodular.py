@@ -15,6 +15,7 @@ there failure is a value (the first unsatisfiable n), not an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -133,23 +134,21 @@ def monomial_count(weight_bound: int, limit: int) -> int:
 
 def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
     gens = {w: eisenstein(w, order) for w in (2, 4, 6)}
-    pow_cache: dict[tuple[int, int], QSeries] = {}
-
-    def power(weight: int, e: int) -> QSeries:
-        if e == 0:
-            return QSeries.one(order)
-        key = (weight, e)
-        if key not in pow_cache:
-            pow_cache[key] = power(weight, e - 1) * gens[weight]
-        return pow_cache[key]
-
+    # powers[w][e] = E_w^e.  A plain table: a recursive closure would form a
+    # reference cycle that keeps every power alive until the cyclic collector
+    # next runs.
+    powers = {w: [QSeries.one(order)] for w in gens}
+    for m in basis:
+        for w, e in ((2, m.a), (4, m.b), (6, m.c)):
+            while len(powers[w]) <= e:
+                powers[w].append(powers[w][-1] * gens[w])
     out = []
     for m in basis:
-        s = power(2, m.a)
+        s = powers[2][m.a]
         if m.b:
-            s = s * power(4, m.b)
+            s = s * powers[4][m.b]
         if m.c:
-            s = s * power(6, m.c)
+            s = s * powers[6][m.c]
         out.append(s)
     return out
 
@@ -164,6 +163,23 @@ def monomial_columns(weight_bound: int, order: int) -> dict[QMMonomial, QSeries]
     return dict(zip(basis, _monomial_series(basis, order)))
 
 
+def _integer_combination(
+    coeffs: list[Fraction], columns: list[QSeries], order: int
+) -> tuple[list[int], int]:
+    """(D * sum(coeff * col) through q^order, D), D the lcm of the denominators.
+
+    Each column is scaled by the integer coeff * D and summed on plain lists,
+    so the sum builds no Fraction and no intermediate series.
+    """
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    combo = [0] * (order + 1)
+    for coeff, col in zip(coeffs, columns):
+        if coeff:
+            scale = coeff.numerator * (denom // coeff.denominator)
+            combo = [a + scale * b for a, b in zip(combo, col.coeffs)]
+    return combo, denom
+
+
 def decompose(
     target: QSeries,
     weight_bound: int,
@@ -174,7 +190,9 @@ def decompose(
     """Exactly decompose `target` over the weight-bounded monomial basis.
 
     Solves coefficients 0..min(basis_size + 4, order), then verifies the
-    candidate against every coefficient through `order`.  Raises
+    candidate against every coefficient through `order`, in integers: with D
+    the lcm of the candidate's denominators, D * sum(coeff * column) is
+    compared with D * target coefficient by coefficient.  Raises
     NoDecompositionError when either stage fails; an underdetermined solve
     pins free columns to zero and flags the result as ambiguous.  `columns`,
     from `monomial_columns` at any weight bound >= this one and exactly this
@@ -195,6 +213,8 @@ def decompose(
         columns = _monomial_series(basis, order)
     else:
         columns = [columns[m] for m in basis]
+        if any(col.order < order for col in columns):
+            raise ValueError(f"columns do not track coefficients to {order}")
     solve_top = min(len(basis) + 4, order)
     solver = IncrementalSolver(len(basis))
     for n in range(solve_top + 1):
@@ -205,14 +225,16 @@ def decompose(
             )
     values = solver.solution()
     ambiguous = bool(solver.free_columns())
-    combo = QSeries.zero(order)
-    for coeff, col in zip(values, columns):
-        if coeff:
-            combo = combo + col * coeff
-    for n in range(order + 1):
-        if combo.coefficient(n) != target.coefficient(n):
+    combo, denom = _integer_combination(values, columns, order)
+    for n, (c, t) in enumerate(zip(combo, target.coeffs)):
+        if c != denom * t:
+            rhs = Fraction(c, denom)
             raise NoDecompositionError(
-                weight_bound, "verify", n, target.coefficient(n), combo.coefficient(n)
+                weight_bound,
+                "verify",
+                n,
+                t,
+                rhs.numerator if rhs.denominator == 1 else rhs,
             )
     terms = {
         m: Fraction(coeff) for m, coeff in zip(basis, values) if coeff
@@ -230,10 +252,10 @@ def eval_decomposition(dec: QMDecomposition, order: int) -> QSeries:
     """Exact evaluation of a decomposition as a QSeries of the given order."""
     basis = sorted(dec.terms, key=lambda m: (m.weight, -m.a, -m.b, -m.c))
     columns = _monomial_series(basis, order)
-    out = QSeries.zero(order)
-    for m, col in zip(basis, columns):
-        out = out + col * dec.terms[m]
-    return out
+    combo, denom = _integer_combination(
+        [dec.terms[m] for m in basis], columns, order
+    )
+    return QSeries([Fraction(c, denom) for c in combo])
 
 
 @dataclass

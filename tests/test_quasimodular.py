@@ -153,6 +153,31 @@ def test_decompose_verify_stage_mismatch():
     assert err.rhs is not None and err.lhs == err.rhs + 1
 
 
+@pytest.mark.parametrize("exponent", [53, 60])
+def test_decompose_verify_stage_non_integral_candidate(exponent):
+    # E4/7 passes with common denominator 7; bumped past the solve window it
+    # fails there, with the candidate's value canonical: a Fraction at q^53,
+    # an int at q^60 (7 divides 240 * sigma_3(60))
+    target = eisenstein(4, 100) / 7
+    assert decompose(target, 4, 100).terms == {QMMonomial(0, 1, 0): Fraction(1, 7)}
+    data = list(target.coeffs)
+    data[exponent] += 1
+    with pytest.raises(NoDecompositionError) as exc:
+        decompose(QSeries(data, 100), 4, 100)
+    err = exc.value
+    assert err.stage == "verify"
+    assert err.exponent == exponent
+    assert err.rhs == Fraction(240 * divisor_sigma(exponent, 3), 7)
+    assert type(err.rhs) is (int if exponent == 60 else Fraction)
+    assert err.lhs == err.rhs + 1
+
+
+def test_decompose_refuses_columns_of_lower_order():
+    target = gen_direct(Family.A, 1, 60)
+    with pytest.raises(ValueError):
+        decompose(target, 2, 60, columns=monomial_columns(2, 40))
+
+
 def test_decompose_preconditions():
     target = gen_direct(Family.A, 1, 20)
     with pytest.raises(ValueError):
