@@ -22,7 +22,7 @@ import traceback
 from typing import Optional, Sequence
 
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c
-from .quasimodular import NoDecompositionError, decompose, monomial_count
+from .quasimodular import NoDecompositionError, check_basis_size, decompose
 from .series import QSeries
 from .verify import (
     VerificationReport,
@@ -68,6 +68,14 @@ def _check_order(order: int) -> None:
         raise UsageError(
             f"--order {order} exceeds the safety cap {cap} (set QDIV_MAX_ORDER to raise it)"
         )
+
+
+def _check_basis_size(weight_bound: int, order: int) -> None:
+    """`check_basis_size` with its refusal as a usage error, before any series is built."""
+    try:
+        check_basis_size(weight_bound, order)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
@@ -136,14 +144,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise UsageError("--k must be >= 1")
     _check_order(args.order)
     weight_bound = 2 * args.k if args.weight_bound is None else args.weight_bound
-    if weight_bound < 0 or weight_bound % 2:
-        raise UsageError("--weight-bound must be even and nonnegative")
-    if monomial_count(weight_bound, args.order // 2) > args.order // 2:
-        raise UsageError(
-            f"--order {args.order} too small to overdetermine the weight-"
-            f"{weight_bound} basis (more than {args.order // 2} monomials; "
-            "need an order of at least twice the basis size)"
-        )
+    _check_basis_size(weight_bound, args.order)
     target = gen_direct(Family.A, args.k, args.order)
     try:
         dec = decompose(target, weight_bound, args.order, description=f"A_{args.k}")
@@ -186,7 +187,7 @@ def _run_suites(suite: str, k_max: int, order: int) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     if suite in ("all", "agreement"):
         for family in (Family.A, Family.C):
-            for k in range(1, k_max + 1):
+            for k in range(k_max, 0, -1):  # largest first: one row table build
                 reports.append(verify_method_agreement(family, k, order))
     if suite in ("all", "quasimodular"):
         reports.append(verify_quasimodularity(k_max, order))
@@ -207,13 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("all", "agreement", "quasimodular") and args.k_max < 1:
         raise UsageError(f"--suite {args.suite} requires --k-max >= 1")
     if args.suite in ("all", "quasimodular"):
-        if monomial_count(2 * args.k_max, args.order // 2) > args.order // 2:
-            raise UsageError(
-                f"--order {args.order} too small for the quasimodular suite at "
-                f"k_max {args.k_max} (the weight-{2 * args.k_max} basis has more "
-                f"than {args.order // 2} monomials; need an order of at least "
-                "twice the basis size)"
-            )
+        _check_basis_size(2 * args.k_max, args.order)
     reports = _run_suites(args.suite, args.k_max, args.order)
     if args.format == "json":
         text = json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"

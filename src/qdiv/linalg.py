@@ -6,15 +6,17 @@ integer cross-multiplication plus gcd normalization, so no floating point and
 no intermediate rationals.  Each step `row = p*row - v*prow` first divides
 the multipliers p and v by gcd(p, v) (the content reduction of fraction-free
 elimination, Bareiss 1968), so an incoming row stays about as wide as the
-stored rows instead of gaining the width of every pivot it meets.  The
-stored rows do not depend on it: a primitive, sign-fixed row in reduced
-echelon form is unique.  Feeding incrementally makes inconsistency
-witnesses exact: the first equation that cannot be satisfied together with
-its predecessors is reported the moment it arrives.
+stored rows instead of gaining the width of every pivot it meets.  Feeding
+incrementally makes inconsistency witnesses exact: the first equation that
+cannot be satisfied together with its predecessors is reported the moment
+it arrives.
 
 Pivot choice is the first nonzero column in the caller's column order, which
-keeps solutions reproducible; reduced rows are kept in full reduced echelon
-form so extraction is direct.
+keeps solutions reproducible.  Rows are stored in echelon form only and are
+never rewritten.  Eliminated against the stored rows in arrival order, an
+incoming row ends zero on every pivot column, which makes it, up to scale,
+the unique such vector of its coset; stored primitive and sign-fixed, it
+does not depend on the gcd step.  `solution()` back-substitutes once.
 """
 
 from __future__ import annotations
@@ -25,17 +27,9 @@ from typing import Sequence
 
 
 def _integer_row(coeffs: Sequence, rhs) -> list[int]:
-    scale = 1
-    for c in coeffs:
-        scale = math.lcm(scale, c.denominator)
-    scale = math.lcm(scale, rhs.denominator)
-    row = []
-    for c in coeffs:
-        v = c * scale
-        row.append(v if isinstance(v, int) else v.numerator)
-    v = rhs * scale
-    row.append(v if isinstance(v, int) else v.numerator)
-    return row
+    entries = [*coeffs, rhs]
+    scale = math.lcm(*(c.denominator for c in entries))
+    return [c.numerator * (scale // c.denominator) for c in entries]
 
 
 def _normalize(row: list[int], lead: int) -> None:
@@ -61,7 +55,7 @@ def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
 
 
 class IncrementalSolver:
-    """Reduced-echelon accumulator for an overdetermined exact system."""
+    """Echelon-form accumulator for an overdetermined exact system."""
 
     def __init__(self, n_cols: int):
         if n_cols < 0:
@@ -90,19 +84,18 @@ class IncrementalSolver:
         if lead is None:
             return row[-1] == 0
         _normalize(row, lead)
-        # keep full reduced form: clear the new pivot column everywhere above
-        for i, prow in enumerate(self._rows):
-            if prow[lead]:
-                updated = _eliminate(prow, row, lead)
-                _normalize(updated, self._pivot_cols[i])
-                self._rows[i] = updated
         self._rows.append(row)
         self._pivot_cols.append(lead)
         return True
 
     def solution(self) -> list[Fraction]:
-        """Values per column; free columns are pinned to zero."""
+        """Values per column; free columns are pinned to zero.
+
+        Back-substitutes in reverse arrival order: each row is zero on the
+        pivots of the rows before it, so its other pivots are solved already.
+        """
         values = [Fraction(0)] * self.n_cols
-        for row, pc in zip(self._rows, self._pivot_cols):
-            values[pc] = Fraction(row[-1], row[pc])
+        for row, pc in zip(reversed(self._rows), reversed(self._pivot_cols)):
+            rest = sum(a * x for a, x in zip(row, values) if a and x)
+            values[pc] = Fraction(row[-1] - rest, row[pc])
         return values

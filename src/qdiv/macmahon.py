@@ -159,8 +159,10 @@ def _direct_table(family: Family, k: int, order: int) -> tuple:
     """Shared immutable rows of the defining sum for (family, order).
 
     Holds at least rows 0..k, capped at the last feasible row; a request for
-    more rows than the held table has rebuilds it.  The few most recently
-    used (family, order) tables are kept.
+    more rows than the held table has rebuilds it.  So a caller that needs
+    several rows of one (family, order) asks for its largest k first, and a
+    `verify` run builds each table once.  The few most recently used
+    (family, order) tables are kept.
     """
     key = (family, order)
     want = min(k, _feasible_rows(family, order))

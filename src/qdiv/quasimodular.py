@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .linalg import IncrementalSolver
 from .macmahon import Family, gen_direct
@@ -95,41 +96,47 @@ class QMDecomposition:
         }
 
 
-def monomial_basis(weight_bound: int) -> list[QMMonomial]:
-    """All monomials of weight <= weight_bound, in the solver's column order.
-
-    Ordered by weight ascending, then E2-heavy first ((a, b, c)
-    lexicographically descending within a weight); the order is part of the
-    contract since it fixes which solution an underdetermined solve returns.
-    """
+def _monomials(weight_bound: int) -> Iterator[QMMonomial]:
+    """Monomials of weight <= weight_bound, lazily, in the solver's column
+    order: weight ascending, then E2-heavy first ((a, b, c) descending)."""
     if weight_bound < 0 or weight_bound % 2:
         raise ValueError("weight bound must be even and nonnegative")
-    basis = []
-    for a in range(weight_bound // 2 + 1):
-        for b in range((weight_bound - 2 * a) // 4 + 1):
-            for c in range((weight_bound - 2 * a - 4 * b) // 6 + 1):
-                basis.append(QMMonomial(a, b, c))
-    basis.sort(key=lambda m: (m.weight, -m.a, -m.b, -m.c))
-    return basis
+    for half in range(weight_bound // 2 + 1):  # a + 2b + 3c = weight / 2
+        for a in range(half, -1, -1):
+            for b in range((half - a) // 2, -1, -1):
+                c, rem = divmod(half - a - 2 * b, 3)
+                if not rem:
+                    yield QMMonomial(a, b, c)
+
+
+def monomial_basis(weight_bound: int) -> list[QMMonomial]:
+    """All monomials of weight <= weight_bound, in the column order of
+    `_monomials`, which fixes the solution an underdetermined solve returns."""
+    return list(_monomials(weight_bound))
 
 
 def monomial_count(weight_bound: int, limit: int) -> int:
     """len(monomial_basis(weight_bound)), or limit + 1 if that exceeds limit.
 
-    Counts without building the basis and stops as soon as the count passes
-    `limit`, so an oversized weight bound is refused in time set by the
-    limit, not by the roughly weight_bound^3/288 monomials.
+    Walks the basis lazily and stops after limit + 1 monomials, so an
+    oversized weight bound is refused in time set by the limit, not by the
+    roughly weight_bound^3/288 monomials.
     """
-    if weight_bound < 0 or weight_bound % 2:
-        raise ValueError("weight bound must be even and nonnegative")
-    half = weight_bound // 2
-    count = 0
-    for c in range(half // 3 + 1):
-        m = half - 3 * c  # pairs (a, b) with a + 2b <= m
-        count += (m // 2 + 1) * (m + 1 - m // 2)
-        if count > limit:
-            return limit + 1
-    return count
+    return sum(1 for _ in islice(_monomials(weight_bound), limit + 1))
+
+
+def check_basis_size(weight_bound: int, order: int) -> None:
+    """Raise ValueError unless the basis has at most order // 2 monomials.
+
+    Twice the basis size in coefficients keeps the solve overdetermined; the
+    count stops past the limit, so an oversized weight bound is refused at once.
+    """
+    if monomial_count(weight_bound, order // 2) > order // 2:
+        raise ValueError(
+            f"order {order} too small: the weight-{weight_bound} basis has more "
+            f"than {order // 2} monomials, and the system needs at least twice "
+            "the basis size to be overdetermined"
+        )
 
 
 def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
@@ -189,6 +196,7 @@ def decompose(
 ) -> QMDecomposition:
     """Exactly decompose `target` over the weight-bounded monomial basis.
 
+    Refuses, through `check_basis_size`, a basis too large for `order`.
     Solves coefficients 0..min(basis_size + 4, order), then verifies the
     candidate against every coefficient through `order`, in integers: with D
     the lcm of the candidate's denominators, D * sum(coeff * column) is
@@ -198,12 +206,7 @@ def decompose(
     from `monomial_columns` at any weight bound >= this one and exactly this
     order, saves rebuilding the basis series.
     """
-    if monomial_count(weight_bound, order // 2) > order // 2:
-        raise ValueError(
-            f"order {order} too small: the weight-{weight_bound} basis has more "
-            f"than {order // 2} monomials, and the system needs at least twice "
-            "the basis size to be overdetermined"
-        )
+    check_basis_size(weight_bound, order)
     basis = monomial_basis(weight_bound)
     if order > target.order:
         raise ValueError(
@@ -236,11 +239,8 @@ def decompose(
                 t,
                 rhs.numerator if rhs.denominator == 1 else rhs,
             )
-    terms = {
-        m: Fraction(coeff) for m, coeff in zip(basis, values) if coeff
-    }
     return QMDecomposition(
-        terms=terms,
+        terms={m: coeff for m, coeff in zip(basis, values) if coeff},
         weight_bound=weight_bound,
         verified_order=order,
         target_description=description,
@@ -250,7 +250,7 @@ def decompose(
 
 def eval_decomposition(dec: QMDecomposition, order: int) -> QSeries:
     """Exact evaluation of a decomposition as a QSeries of the given order."""
-    basis = sorted(dec.terms, key=lambda m: (m.weight, -m.a, -m.b, -m.c))
+    basis = list(dec.terms)
     columns = _monomial_series(basis, order)
     combo, denom = _integer_combination(
         [dec.terms[m] for m in basis], columns, order

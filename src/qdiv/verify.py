@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c, theta_f, theta_g
-from .quasimodular import NoDecompositionError, decompose, monomial_columns
+from .quasimodular import NoDecompositionError, check_basis_size, decompose, monomial_columns
 from .series import QSeries, pochhammer_inf
 
 Rational = Union[int, Fraction]
@@ -175,7 +175,7 @@ def _verify_theorem(
     family = Family.A if odd else Family.C
     row_order = (order + 1) // 2 if odd else order
     expected = {}
-    for k in range(k_max + 1):
+    for k in range(k_max, -1, -1):  # largest first: one row table build
         row = _tap(gen_direct(family, k, row_order), f"{family.value}_{k}", perturb)
         if odd:
             row = row.substitute(2).truncate(order)
@@ -259,13 +259,16 @@ def verify_quasimodularity(
     informational probe showing that the odd-part family's C_1 does NOT
     decompose in this basis (expected; its failure does not fail the suite).
     The Eisenstein columns of weight <= 2k_max are built once and shared by
-    every decomposition.
+    every decomposition.  Raises ValueError, before any series is built,
+    when the weight-2k_max basis is too large for `order`.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    check_basis_size(2 * k_max, order)
     t0 = time.perf_counter()
     details: dict = {}
     mismatch = None
+    gen_direct(Family.A, k_max, order)  # largest first: one row table build
     columns = monomial_columns(2 * k_max, order)
     for k in range(1, k_max + 1):
         target = _tap(gen_direct(Family.A, k, order), f"A_{k}", perturb)

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, formats, caps, stability."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qdiv
+from qdiv import macmahon
 from qdiv.cli import EXIT_INTERNAL, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from qdiv.verify import Mismatch, VerificationReport
 
@@ -245,6 +247,39 @@ def test_verify_quasimodular_order_check(capsys):
     rc, _, err = run(capsys, ["verify", "--suite", "quasimodular", "--k-max", "4",
                               "--order", "10"])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("suite, builds", [("all", 3), ("quasimodular", 2)])
+def test_verify_builds_each_row_table_once(capsys, monkeypatch, suite, builds):
+    # every caller asks for its largest k first, so no (family, order) row
+    # table is rebuilt when a later caller asks for more rows: suite all
+    # builds A and C at the order and A at half the order for theorem-f
+    built = []
+    direct_rows = macmahon._direct_rows
+
+    def counting(family, k, order):
+        built.append((family, order))
+        return direct_rows(family, k, order)
+
+    monkeypatch.setattr(macmahon, "_direct_rows", counting)
+    monkeypatch.setattr(macmahon, "_TABLES", {})
+    rc, _, _ = run(capsys, ["verify", "--suite", suite, "--k-max", "4",
+                            "--order", "60"])
+    assert rc == EXIT_OK
+    assert len(built) == builds
+    assert len(set(built)) == builds
+
+
+@pytest.mark.parametrize("job", ["verify_o200", "quasimodular_k12"])
+def test_verify_reports_match_benchmark_digests(capsys, monkeypatch, job):
+    # the benchmark's seed-0 reports, pinned by perfbench/digests.json, are
+    # checked here too, in process; the digests file is only read
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gate = importlib.import_module("gate")
+    spec = importlib.import_module("run").plan(0)[job]
+    rc, out, _ = run(capsys, spec.argv)
+    assert rc == EXIT_OK
+    assert gate.canonical_digest(json.loads(out)) == spec.digest
 
 
 def test_verify_failure_exits_no_solution(capsys, monkeypatch):

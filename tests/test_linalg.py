@@ -126,8 +126,9 @@ def _primitive(row, lead):
 
 
 class CrossMultiplySolver:
-    """Reference for the stored integer rows: cross-multiplication with no
-    gcd step, the row made primitive and sign-fixed only once it is done."""
+    """Reference for the stored integer rows: echelon form by
+    cross-multiplication with no gcd step, the row made primitive and
+    sign-fixed only once it is done."""
 
     def __init__(self, n_cols):
         self.n_cols = n_cols
@@ -148,12 +149,6 @@ class CrossMultiplySolver:
         if lead is None:
             return row[-1] == 0
         row = _primitive(row, lead)
-        p = row[lead]
-        for i, prow in enumerate(self.rows):
-            v = prow[lead]
-            if v:
-                updated = [p * a - v * b for a, b in zip(prow, row)]
-                self.rows[i] = _primitive(updated, self.pivot_cols[i])
         self.rows.append(row)
         self.pivot_cols.append(lead)
         return True

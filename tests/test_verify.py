@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qdiv import quasimodular
 from qdiv.macmahon import Family, gen_direct, gen_explicit
 from qdiv.verify import (
     Mismatch,
@@ -142,6 +143,18 @@ def test_quasimodular_perturbation_beyond_solve_window():
     r = verify_quasimodularity(1, 60, perturb=Perturbation("A_1", 30))
     assert not r.passed
     assert r.first_mismatch.q_exponent == 30
+
+
+def test_quasimodularity_refuses_oversized_basis_before_any_column(monkeypatch):
+    # the weight-80 basis has more than 50 monomials: refused before the
+    # suite builds its first Eisenstein column
+    def no_columns(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(quasimodular, "_monomial_series", no_columns)
+    with pytest.raises(ValueError, match="too small") as info:
+        verify_quasimodularity(40, 100)
+    assert "weight-80" in str(info.value)
 
 
 def test_perturbation_does_not_leak_into_shared_rows():
