@@ -75,14 +75,9 @@ def conv_schoolbook(a: list, b: list, order: int) -> list:
 def inverse_trunc(a: list, order: int) -> list:
     """Coefficients of 1/a through q^order; a[0] must be nonzero."""
     a0 = a[0]
+    recip = a0 if a0 in (1, -1) else 1 / Fraction(a0)  # a unit keeps int input int
     n_out = order + 1
     out = [0] * n_out
-    if a0 == 1:
-        recip = 1
-    elif a0 == -1:
-        recip = -1
-    else:
-        recip = 1 / Fraction(a0)
     out[0] = recip
     amax = min(len(a), n_out)
     for m in range(1, n_out):
@@ -91,12 +86,6 @@ def inverse_trunc(a: list, order: int) -> list:
             ai = a[i]
             if ai:
                 acc += ai * out[m - i]
-        if not acc:
-            continue
-        if a0 == 1:
-            out[m] = -acc
-        elif a0 == -1:
-            out[m] = acc
-        else:
+        if acc:
             out[m] = -acc * recip
     return out

@@ -30,7 +30,6 @@ import enum
 import functools
 import math
 import threading
-from fractions import Fraction
 from operator import add
 from typing import Literal, Sequence
 
@@ -192,39 +191,28 @@ def gen_direct(family: Family, k: int, order: int) -> QSeries:
 
 
 def gen_explicit(family: Family, k: int, order: int) -> QSeries:
-    """Closed form: signed theta sum times an eta-type prefactor.
+    """Closed form: a theta sum of Chebyshev coefficients times an eta-type prefactor.
 
-    Family A:  (-1)^k/(2k+1)! * sum_{n>=k} (-1)^n (2n+1) (n+k)!/(n-k)! q^(n(n+1)/2)
-               divided by (q;q)_inf^3.
-    Family C:  (-1)^k/(2k)!  * sum_{n>=k} (-1)^n 2n (n+k-1)!/(n-k)! q^(n^2)
-               times (-q;q)_inf/(q;q)_inf.
+    Family A:  sum_{n>=k} cheb_coeff_closed(n, k, "odd")  q^(n(n+1)/2) / (q;q)_inf^3
+    Family C:  sum_{n>=k} cheb_coeff_closed(n, k, "even") q^(n^2) * (-q;q)_inf/(q;q)_inf
 
-    The falling-factorial ratios vanish for n < k, so both sums start at
-    n = k; only exponents <= order are generated.  When n = k is already
-    past the order, the answer is the zero series.
+    The theta coefficient is that of x^(2k+1) in P_{2n+1} (of x^(2k) in
+    P_{2n}), an integer that vanishes for n < k, so the sum starts at n = k
+    and everything is integer arithmetic; only exponents <= order are
+    generated.  When n = k is already past the order, the answer is the zero
+    series.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    odd = family is Family.A
     data = [0] * (order + 1)
     n = k
-    if family is Family.A:
-        while n * (n + 1) // 2 <= order:
-            ff = math.prod(range(n - k + 1, n + k + 1))  # (n+k)!/(n-k)!
-            data[n * (n + 1) // 2] += (-1) ** n * (2 * n + 1) * ff
-            n += 1
-    else:
-        while n * n <= order:
-            ff = math.prod(range(n - k + 1, n + k))  # (n+k-1)!/(n-k)!
-            data[n * n] += (-1) ** n * 2 * n * ff
-            n += 1
+    while (e := n * (n + 1) // 2 if odd else n * n) <= order:
+        data[e] = cheb_coeff_closed(n, k, "odd" if odd else "even")
+        n += 1
     if n == k:
         return QSeries.zero(order)
-    theta = QSeries(data, order)
-    if family is Family.A:
-        scale = Fraction((-1) ** k, math.factorial(2 * k + 1))
-    else:
-        scale = Fraction((-1) ** k, math.factorial(2 * k))
-    return (theta * _explicit_prefactor(family, order)) * scale
+    return QSeries(data, order) * _explicit_prefactor(family, order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -414,19 +402,25 @@ def _theta(odd: int, x_degree_bound: int, q_order: int) -> BivarSeries:
 
     odd = 1 is F, summed from n = 0; odd = 0 is G, summed from n = 1 with
     constant term 1.  Only x-degrees of the parity of `odd` are populated.
+    Past x-degree 2*sqrt(q_order) + 1 no term reaches, so rows are built
+    only for degrees that get a term, and every other degree holds one
+    shared zero series: the cost follows q_order, not x_degree_bound.
     """
-    grid = [[0] * (q_order + 1) for _ in range(x_degree_bound + 1)]
+    rows: dict = {}
     if not odd:
-        grid[0][0] = 1
+        rows[0] = [1] + [0] * q_order
     n = 1 - odd
     while (e := n * (n + odd)) <= q_order:
         poly = cheb_rescaled(2 * n + odd)
         for d in range(odd, min(x_degree_bound, poly.degree) + 1, 2):
             c = poly.coefficient(d)
             if c:
-                grid[d][e] += c
+                rows.setdefault(d, [0] * (q_order + 1))[e] += c
         n += 1
-    return BivarSeries([QSeries(row, q_order) for row in grid])
+    zero = QSeries.zero(q_order)
+    return BivarSeries(
+        [QSeries(rows[d], q_order) if d in rows else zero for d in range(x_degree_bound + 1)]
+    )
 
 
 def theta_f(x_degree_bound: int, q_order: int) -> BivarSeries:

@@ -140,24 +140,24 @@ def check_basis_size(weight_bound: int, order: int) -> None:
 
 
 def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
+    """Series of each monomial of `basis`: its parent's series times one generator.
+
+    The parent has one E2 fewer; with no E2, one E4 fewer; otherwise one E6
+    fewer.  Precondition: every parent is in `basis` and comes earlier, as in
+    a full basis in `_monomials` order (weight ascending).
+    """
     gens = {w: eisenstein(w, order) for w in (2, 4, 6)}
-    # powers[w][e] = E_w^e.  A plain table: a recursive closure would form a
-    # reference cycle that keeps every power alive until the cyclic collector
-    # next runs.
-    powers = {w: [QSeries.one(order)] for w in gens}
+    built: dict[QMMonomial, QSeries] = {}
     for m in basis:
-        for w, e in ((2, m.a), (4, m.b), (6, m.c)):
-            while len(powers[w]) <= e:
-                powers[w].append(powers[w][-1] * gens[w])
-    out = []
-    for m in basis:
-        s = powers[2][m.a]
-        if m.b:
-            s = s * powers[4][m.b]
-        if m.c:
-            s = s * powers[6][m.c]
-        out.append(s)
-    return out
+        if m.a:
+            built[m] = built[QMMonomial(m.a - 1, m.b, m.c)] * gens[2]
+        elif m.b:
+            built[m] = built[QMMonomial(0, m.b - 1, m.c)] * gens[4]
+        elif m.c:
+            built[m] = built[QMMonomial(0, 0, m.c - 1)] * gens[6]
+        else:
+            built[m] = QSeries.one(order)
+    return [built[m] for m in basis]
 
 
 def monomial_columns(weight_bound: int, order: int) -> dict[QMMonomial, QSeries]:
@@ -215,6 +215,8 @@ def decompose(
     if columns is None:
         columns = _monomial_series(basis, order)
     else:
+        if not columns.keys() >= set(basis):
+            raise ValueError(f"columns do not hold the weight-{weight_bound} basis")
         columns = [columns[m] for m in basis]
         if any(col.order < order for col in columns):
             raise ValueError(f"columns do not track coefficients to {order}")
@@ -250,10 +252,11 @@ def decompose(
 
 def eval_decomposition(dec: QMDecomposition, order: int) -> QSeries:
     """Exact evaluation of a decomposition as a QSeries of the given order."""
-    basis = list(dec.terms)
+    # the full basis up to the heaviest term holds every column's parent
+    basis = monomial_basis(max((m.weight for m in dec.terms), default=0))
     columns = _monomial_series(basis, order)
     combo, denom = _integer_combination(
-        [dec.terms[m] for m in basis], columns, order
+        [dec.terms.get(m, 0) for m in basis], columns, order
     )
     return QSeries([Fraction(c, denom) for c in combo])
 

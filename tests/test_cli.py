@@ -21,6 +21,18 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def run_fresh(argv, timeout):
+    """Run the CLI in a fresh process that is killed after `timeout` seconds."""
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "qdiv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 # -- coeffs -----------------------------------------------------------------------
 
 
@@ -111,15 +123,8 @@ def test_coeffs_invalid_family_usage_error(capsys):
 def test_coeffs_infeasible_k_is_zero_at_once(family, method, k):
     # no k-part sum fits below q^100, so every route must answer zero without
     # working through k; a fresh process with a timeout fails instead of hanging
-    env = {
-        "PATH": os.environ.get("PATH", ""),
-        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
-    }
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdiv.cli", "coeffs", "--family", family,
-         "--k", str(k), "--order", "100", "--method", method, "--format", "csv"],
-        capture_output=True, text=True, env=env, timeout=15,
-    )
+    proc = run_fresh(["coeffs", "--family", family, "--k", str(k), "--order", "100",
+                      "--method", method, "--format", "csv"], timeout=15)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines() == [f"{n},0" for n in range(1, 101)]
 
@@ -187,14 +192,7 @@ def test_oversized_weight_bound_refused_at_once(argv):
     # the weight-1000 basis has about 3.5 million monomials; the order check
     # must not build them, and a fresh process with a timeout fails instead
     # of hanging
-    env = {
-        "PATH": os.environ.get("PATH", ""),
-        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
-    }
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdiv.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=5,
-    )
+    proc = run_fresh(argv, timeout=5)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "too small" in proc.stderr
 
@@ -207,6 +205,17 @@ def test_verify_theorem_f_seed_depth(capsys):
                               "--order", "200"])
     assert rc == EXIT_OK
     assert out.startswith("PASS theorem-f")
+
+
+@pytest.mark.parametrize("suite", ["theorem-f", "theorem-g"])
+def test_verify_theorem_huge_k_max_finishes_at_once(suite):
+    # past x-degree 2*sqrt(order) + 1 both sides are zero, so a huge k_max
+    # must cost about what the feasible rows cost; a fresh process with a
+    # timeout fails instead of spinning
+    proc = run_fresh(["verify", "--suite", suite, "--k-max", "100000",
+                      "--order", "100"], timeout=10)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith(f"PASS {suite} [k_max=100000 order=100]")
 
 
 def test_verify_all_small(capsys):

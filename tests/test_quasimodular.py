@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdiv import series
 from qdiv.macmahon import Family, gen_direct, oracle_a
 from qdiv.quasimodular import (
     NoDecompositionError,
@@ -112,6 +113,25 @@ def test_decompose_roundtrip(k):
     assert eval_decomposition(dec, 100) == target
 
 
+def test_monomial_columns_cost_one_product_each(monkeypatch):
+    calls = []
+    conv = series.kernels.conv_trunc
+
+    def spy(a, b, order):
+        calls.append(order)
+        return conv(a, b, order)
+
+    monkeypatch.setattr(series.kernels, "conv_trunc", spy)
+    columns = monomial_columns(12, 60)
+    assert len(calls) == len(monomial_basis(12)) - 1 == 22
+    monkeypatch.undo()
+    # QSeries powers build each monomial independently of the parent rule
+    e2, e4, e6 = (eisenstein(w, 60) for w in (2, 4, 6))
+    assert list(columns) == monomial_basis(12)
+    for m, col in columns.items():
+        assert col == e2**m.a * e4**m.b * e6**m.c, m
+
+
 def test_decompose_with_shared_columns_matches_own_columns():
     # a column set built once at a higher weight serves every smaller basis
     columns = monomial_columns(6, 60)
@@ -176,6 +196,9 @@ def test_decompose_refuses_columns_of_lower_order():
     target = gen_direct(Family.A, 1, 60)
     with pytest.raises(ValueError):
         decompose(target, 2, 60, columns=monomial_columns(2, 40))
+    # columns of a lower weight bound lack monomials of the basis
+    with pytest.raises(ValueError, match="weight-4"):
+        decompose(gen_direct(Family.A, 2, 60), 4, 60, columns=monomial_columns(2, 60))
 
 
 def test_decompose_preconditions():
