@@ -157,11 +157,12 @@ _TABLES_LOCK = threading.Lock()
 def _direct_table(family: Family, k: int, order: int) -> tuple:
     """Shared immutable rows of the defining sum for (family, order).
 
-    Holds at least rows 0..k, capped at the last feasible row; a request for
-    more rows than the held table has rebuilds it.  So a caller that needs
-    several rows of one (family, order) asks for its largest k first, and a
-    `verify` run builds each table once.  The few most recently used
-    (family, order) tables are kept.
+    Holds at least rows 0..k, capped at the last feasible row: the one place
+    that decides which rows can be nonzero.  A request for more rows than the
+    held table has rebuilds it, so the theorem and quasimodular suites read
+    all their rows in one call (slicing off any an earlier, larger caller
+    left), and the per-k agreement loop asks for its largest k first.  The
+    few most recently used (family, order) tables are kept.
     """
     key = (family, order)
     want = min(k, _feasible_rows(family, order))
@@ -235,16 +236,16 @@ def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
 
     The k = 1 instance of each relation is an identity in the seed rather
     than a constructor, so k = 1 returns the seed unchanged.  Zero is a
-    fixed point of the recurrence, so the loop stops once A_j (C_j) vanishes
-    through the order.
+    fixed point of the recurrence, so past the last feasible row the answer
+    is the zero series at once; within it no A_j (C_j) vanishes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > _feasible_rows(family, order):
+        return QSeries.zero(order)
     seed = gen_direct(family, 1, order)
     cur = seed
     for j in range(2, k + 1):
-        if cur.is_zero:
-            break
         if family is Family.A:
             cur = ((6 * seed + j * (j - 1)) * cur - 2 * cur.q_derivative()) / (
                 (2 * j + 1) * 2 * j

@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c, theta_f, theta_g
+from .macmahon import (
+    Family, _direct_table, gen_direct, gen_explicit, gen_recurrence,
+    oracle_a, oracle_c, theta_f, theta_g,
+)
 from .quasimodular import NoDecompositionError, check_basis_size, decompose, monomial_columns
 from .series import QSeries, pochhammer_inf
 
@@ -134,6 +137,15 @@ def _first_mismatch(
     return None
 
 
+def _report(
+    name: str, parameters: dict, order: int, mismatch: Optional[Mismatch], t0: float,
+    details: Optional[dict] = None,
+) -> VerificationReport:
+    status = "fail" if mismatch else "pass"
+    elapsed = time.perf_counter() - t0
+    return VerificationReport(name, parameters, order, status, mismatch, elapsed, details or {})
+
+
 def perturbable_targets(suite: str, k_max: int) -> list[str]:
     """Intermediate-series names a Perturbation may address, per suite."""
     if suite in ("theorem-f", "theorem-g"):
@@ -159,16 +171,17 @@ def _verify_theorem(
     The x^(2k+odd) entry of F (G) must equal the prefactor times A_k(q^2)
     (C_k(q)) for k <= k_max, and every other entry through x^(2k_max+odd)
     must vanish.  A_k is built to half the q-order, since it enters through
-    q -> q^2.  Rows that are zero (past the last feasible k) expect the zero
-    entry without a product.  Theta, prefactor and row builders are looked up
-    as module globals on each call.
+    q -> q^2.  The rows come from one read of the row table, which holds only
+    feasible rows; degrees past them expect the zero entry without a product.
+    A perturbation first pads the rows with zero rows up to k_max, so any
+    named row can be bumped.  Theta, prefactor and row builders are looked
+    up as module globals on each call.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     t0 = time.perf_counter()
     bound = 2 * k_max + odd
-    theta = (theta_f if odd else theta_g)(bound, order)
-    entries = [_tap(theta.entry(d), f"theta_x{d}", perturb) for d in range(bound + 1)]
+    entries = (theta_f if odd else theta_g)(bound, order).entries
     if odd:
         prefactor = pochhammer_inf(1, 2, 2, order) ** 3
     else:
@@ -176,28 +189,26 @@ def _verify_theorem(
     prefactor = _tap(prefactor, "prefactor", perturb)
     family = Family.A if odd else Family.C
     row_order = (order + 1) // 2 if odd else order
+    # a table left by an earlier, larger caller holds more rows than asked for
+    rows = _direct_table(family, k_max, row_order)[: k_max + 1]
+    if perturb is not None:
+        rows += (QSeries.zero(row_order),) * (k_max + 1 - len(rows))
+        rows = [_tap(row, f"{family.value}_{k}", perturb) for k, row in enumerate(rows)]
+        entries = [_tap(e, f"theta_x{d}", perturb) for d, e in enumerate(entries)]
     expected = {}
-    for k in range(k_max, -1, -1):  # largest first: one row table build
-        row = _tap(gen_direct(family, k, row_order), f"{family.value}_{k}", perturb)
-        if row.is_zero:
-            continue
-        if odd:
-            row = row.substitute(2).truncate(order)
-        expected[2 * k + odd] = prefactor * row
+    for k, row in enumerate(rows):
+        if not row.is_zero:
+            if odd:
+                row = row.substitute(2).truncate(order)
+            expected[2 * k + odd] = prefactor * row
     zero = QSeries.zero(order)
     mismatch = None
-    for d in range(bound + 1):
-        mismatch = _first_mismatch(entries[d], expected.get(d, zero), order, d)
+    for d, entry in enumerate(entries):
+        mismatch = _first_mismatch(entry, expected.get(d, zero), order, d)
         if mismatch is not None:
             break
-    return VerificationReport(
-        identity_name="theorem-f" if odd else "theorem-g",
-        parameters={"k_max": k_max, "order": order},
-        checked_order=order,
-        status="fail" if mismatch else "pass",
-        first_mismatch=mismatch,
-        elapsed=time.perf_counter() - t0,
-    )
+    name = "theorem-f" if odd else "theorem-g"
+    return _report(name, {"k_max": k_max, "order": order}, order, mismatch, t0)
 
 
 def verify_theorem_f(
@@ -238,20 +249,11 @@ def verify_method_agreement(
         mismatch = _first_mismatch(direct, recurrence, order, None)
     if mismatch is None:
         oracle = oracle_a if family is Family.A else oracle_c
-        for n in range(1, min(order, 40) + 1):
-            want = oracle(n, k)
-            got = direct.coefficient(n)
-            if got != want:
-                mismatch = Mismatch(None, n, got, want)
-                break
-    return VerificationReport(
-        identity_name="method-agreement",
-        parameters={"family": family.value, "k": k, "order": order},
-        checked_order=order,
-        status="fail" if mismatch else "pass",
-        first_mismatch=mismatch,
-        elapsed=time.perf_counter() - t0,
-    )
+        upto = min(order, 40)
+        prefix = QSeries([0] + [oracle(n, k) for n in range(1, upto + 1)], upto)
+        mismatch = _first_mismatch(direct, prefix, upto, None)
+    parameters = {"family": family.value, "k": k, "order": order}
+    return _report("method-agreement", parameters, order, mismatch, t0)
 
 
 def verify_quasimodularity(
@@ -272,10 +274,11 @@ def verify_quasimodularity(
     t0 = time.perf_counter()
     details: dict = {}
     mismatch = None
-    gen_direct(Family.A, k_max, order)  # largest first: one row table build
+    rows = _direct_table(Family.A, k_max, order)
     columns = monomial_columns(2 * k_max, order)
     for k in range(1, k_max + 1):
-        target = _tap(gen_direct(Family.A, k, order), f"A_{k}", perturb)
+        # the basis-size check leaves every A_k with k <= k_max feasible
+        target = _tap(rows[k], f"A_{k}", perturb)
         try:
             dec = decompose(
                 target, 2 * k, order, description=f"A_{k}", columns=columns
@@ -291,7 +294,7 @@ def verify_quasimodularity(
     if mismatch is None:
         try:
             decompose(
-                gen_direct(Family.C, 1, order), 2, order,
+                _direct_table(Family.C, 1, order)[1], 2, order,
                 description="C_1", columns=columns,
             )
             details["C_1_probe"] = {"status": "decomposed-unexpectedly"}
@@ -300,12 +303,6 @@ def verify_quasimodularity(
                 "status": "no-decomposition",
                 "witness_exponent": e.exponent,
             }
-    return VerificationReport(
-        identity_name="quasimodularity",
-        parameters={"k_max": k_max, "order": order},
-        checked_order=order,
-        status="fail" if mismatch else "pass",
-        first_mismatch=mismatch,
-        elapsed=time.perf_counter() - t0,
-        details=details,
+    return _report(
+        "quasimodularity", {"k_max": k_max, "order": order}, order, mismatch, t0, details
     )

@@ -207,15 +207,30 @@ def test_verify_theorem_f_seed_depth(capsys):
     assert out.startswith("PASS theorem-f")
 
 
-@pytest.mark.parametrize("suite", ["theorem-f", "theorem-g"])
-def test_verify_theorem_huge_k_max_finishes_at_once(suite):
+@pytest.mark.parametrize(
+    "suite, k_max",
+    [pytest.param(s, 100000, id=s) for s in ("theorem-f", "theorem-g")]
+    + [pytest.param(s, 1000000, id=f"{s}-1000000") for s in ("theorem-f", "theorem-g")],
+)
+def test_verify_theorem_huge_k_max_finishes_at_once(suite, k_max):
     # past x-degree 2*sqrt(order) + 1 both sides are zero, so a huge k_max
     # must cost about what the feasible rows cost; a fresh process with a
     # timeout fails instead of spinning
-    proc = run_fresh(["verify", "--suite", suite, "--k-max", "100000",
+    proc = run_fresh(["verify", "--suite", suite, "--k-max", str(k_max),
                       "--order", "100"], timeout=10)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.startswith(f"PASS {suite} [k_max=100000 order=100]")
+    assert proc.stdout.startswith(f"PASS {suite} [k_max={k_max} order=100]")
+
+
+def test_verify_agreement_past_feasible_rows_finishes_at_once():
+    # A_k and C_k vanish through q^400 for k > 27 and k > 20; every route
+    # must answer zero for those k at once instead of working toward it
+    proc = run_fresh(["verify", "--suite", "agreement", "--k-max", "300",
+                      "--order", "400"], timeout=10)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 600
+    assert all(line.startswith("PASS method-agreement") for line in lines)
 
 
 def test_verify_all_small(capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qdiv import quasimodular
+from qdiv import macmahon, quasimodular, series, verify
 from qdiv.macmahon import Family, gen_direct, gen_explicit
 from qdiv.verify import (
     Mismatch,
@@ -173,6 +173,53 @@ def test_perturbation_does_not_leak_into_shared_rows():
     assert verify_method_agreement(Family.A, 2, 30).passed
     assert verify_quasimodularity(2, 60).passed
     assert gen_direct(Family.A, 2, 30) == clean
+
+
+def spy_table_reads(monkeypatch):
+    """Record the family of every row-table read, from the suites or gen_direct."""
+    reads = []
+    table = macmahon._direct_table
+
+    def spy(family, k, order):
+        reads.append(family)
+        return table(family, k, order)
+
+    monkeypatch.setattr(macmahon, "_direct_table", spy)
+    monkeypatch.setattr(verify, "_direct_table", spy)
+    return reads
+
+
+@pytest.mark.parametrize("suite, family", [(verify_theorem_f, Family.A), (verify_theorem_g, Family.C)])
+def test_theorem_suites_read_the_row_table_once(monkeypatch, suite, family):
+    reads = spy_table_reads(monkeypatch)
+    assert suite(50, 100).passed
+    assert reads == [family]
+
+
+def test_quasimodularity_reads_each_row_table_once(monkeypatch):
+    reads = spy_table_reads(monkeypatch)
+    assert verify_quasimodularity(4, 100).passed
+    assert sorted(reads, key=lambda f: f.value) == [Family.A, Family.C]
+
+
+def test_larger_held_table_adds_no_products(monkeypatch):
+    # a table left by a larger k_max holds rows this call did not ask for;
+    # they must not be multiplied out
+    products = []
+    conv = series.kernels.conv_trunc
+
+    def spy(a, b, order):
+        products.append(order)
+        return conv(a, b, order)
+
+    monkeypatch.setattr(series.kernels, "conv_trunc", spy)
+    monkeypatch.setattr(macmahon, "_TABLES", {})
+    assert verify_theorem_f(2, 100).passed
+    cold = len(products)
+    assert verify_theorem_f(10, 100).passed
+    del products[:]
+    assert verify_theorem_f(2, 100).passed
+    assert len(products) == cold == 6
 
 
 def test_perturbation_of_unknown_target_is_inert():
