@@ -73,19 +73,23 @@ def conv_schoolbook(a: list, b: list, order: int) -> list:
 
 
 def inverse_trunc(a: list, order: int) -> list:
-    """Coefficients of 1/a through q^order; a[0] must be nonzero."""
+    """Coefficients of 1/a through q^order; a[0] must be nonzero.
+
+    Each step sums over the nonzero terms a_i, i >= 1, only, so the cost is
+    O(order * nnz): the eta products inverted here are sparse.
+    """
     a0 = a[0]
     recip = a0 if a0 in (1, -1) else 1 / Fraction(a0)  # a unit keeps int input int
     n_out = order + 1
     out = [0] * n_out
     out[0] = recip
-    amax = min(len(a), n_out)
+    support = [(i, ai) for i, ai in enumerate(a[1:n_out], 1) if ai]
     for m in range(1, n_out):
         acc = 0
-        for i in range(1, min(m, amax - 1) + 1):
-            ai = a[i]
-            if ai:
-                acc += ai * out[m - i]
+        for i, ai in support:
+            if i > m:
+                break
+            acc += ai * out[m - i]
         if acc:
             out[m] = -acc * recip
     return out

@@ -159,17 +159,26 @@ def _direct_table(family: Family, k: int, order: int) -> tuple:
 
     Holds at least rows 0..k, capped at the last feasible row: the one place
     that decides which rows can be nonzero.  A request for more rows than the
-    held table has rebuilds it, so the theorem and quasimodular suites read
-    all their rows in one call (slicing off any an earlier, larger caller
-    left), and the per-k agreement loop asks for its largest k first.  The
-    few most recently used (family, order) tables are kept.
+    held table has truncates a held table of the family at a larger order
+    with enough rows, else rebuilds it.  So the theorem and quasimodular
+    suites read all their rows in one call (slicing off any an earlier,
+    larger caller left), theorem-f's half-order rows come from the agreement
+    suite's table, and the per-k agreement loop asks for its largest k
+    first.  The few most recently used (family, order) tables are kept.
     """
     key = (family, order)
     want = min(k, _feasible_rows(family, order))
     with _TABLES_LOCK:
         rows = _TABLES.pop(key, None)
         if rows is None or len(rows) <= want:
-            rows = _direct_rows(family, want, order)
+            larger = [
+                held for (f, o), held in _TABLES.items()
+                if f is family and o > order and len(held) > want
+            ]
+            rows = (
+                tuple(row.truncate(order) for row in larger[-1][: want + 1])
+                if larger else _direct_rows(family, want, order)
+            )
         _TABLES[key] = rows
         while len(_TABLES) > _TABLES_KEPT:
             del _TABLES[next(iter(_TABLES))]
@@ -221,11 +230,12 @@ def _explicit_prefactor(family: Family, order: int) -> QSeries:
     """The k-independent eta-type factor of `gen_explicit`, built once per (family, order).
 
     (q;q)_inf^-3 for A, (-q;q)_inf/(q;q)_inf for C.  Only `gen_explicit`
-    reads it, so the other routes share nothing with it.
+    reads it, so the other routes share nothing with it.  C's factor is
+    built as (q^2;q^2)_inf/(q;q)_inf^2, as 1 + q^e = (1 - q^2e)/(1 - q^e).
     """
     if family is Family.A:
         return (pochhammer_inf(1, 1, 1, order) ** 3).inverse()
-    return pochhammer_inf(-1, 1, 1, order) * pochhammer_inf(1, 1, 1, order).inverse()
+    return pochhammer_inf(1, 2, 2, order) * pochhammer_inf(1, 1, 1, order).inverse() ** 2
 
 
 def gen_recurrence(family: Family, k: int, order: int) -> QSeries:

@@ -13,6 +13,7 @@ across threads; all operations are pure.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -171,10 +172,16 @@ class QSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "QSeries":
+        """Division by a nonzero scalar; an int divisor keeps exact quotients int."""
         if isinstance(scalar, (int, Fraction)):
             if scalar == 0:
                 raise ZeroDivisionError("division of series by zero scalar")
-            return self * (Fraction(1) / Fraction(scalar))
+            if isinstance(scalar, Fraction):
+                return self * (1 / scalar)
+            return QSeries._wrap([
+                c // scalar if type(c) is int and not c % scalar else Fraction(c, scalar)
+                for c in self._coeffs
+            ])
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "QSeries":
@@ -240,12 +247,15 @@ class QSeries:
 # -- classical building blocks ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def pochhammer_inf(c: Rational, offset: int, step: int, order: int) -> QSeries:
     """Truncated infinite product of factors (1 - c*q^(offset + k*step)), k >= 0.
 
     Instances: (q;q)_inf = pochhammer_inf(1,1,1,N); (q^2;q^2)_inf = (1,2,2,N);
     (-q;q)_inf = (-1,1,1,N); (q;q^2)_inf = (1,1,2,N).  Factors whose exponent
-    exceeds `order` only touch discarded coefficients and are skipped.
+    exceeds `order` only touch discarded coefficients and are skipped.  The
+    eight most recently used products are kept, so each is built once per
+    order.
     """
     if offset < 1:
         raise ValueError("offset must be >= 1 (constant factors are disallowed)")

@@ -15,6 +15,7 @@ enumerates the valid names per suite.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,6 +167,16 @@ def perturbable_targets(suite: str, k_max: int) -> list[str]:
     raise ValueError(f"unknown suite {suite!r}")
 
 
+def _tapped_index(perturb: Optional[Perturbation], prefix: str) -> int:
+    """i when `perturb` names the series f"{prefix}{i}", else -1."""
+    if perturb is None or not perturb.target.startswith(prefix):
+        return -1
+    tail = perturb.target[len(prefix):]
+    if tail.isdecimal() and f"{prefix}{int(tail)}" == perturb.target:
+        return int(tail)
+    return -1
+
+
 def _verify_theorem(
     odd: int, k_max: int, order: int, perturb: Optional[Perturbation]
 ) -> VerificationReport:
@@ -175,29 +186,37 @@ def _verify_theorem(
     (C_k(q)) for k <= k_max, and every other entry through x^(2k_max+odd)
     must vanish.  A_k is built to half the q-order, since it enters through
     q -> q^2.  The rows come from one read of the row table, which holds only
-    feasible rows; degrees past them expect the zero entry without a product.
-    A perturbation first pads the rows with zero rows up to k_max, so any
-    named row can be bumped.  Theta, prefactor and row builders are looked
-    up as module globals on each call.
+    feasible rows.  Only x-degrees up to the last that holds a theta term, a
+    row or the perturbed entry are built and compared; every degree past
+    them is zero on both sides, so the cost does not grow with k_max.  A
+    perturbation of a row past the feasible ones first pads the rows with
+    zero rows up to it.  Theta, prefactor and row builders are looked up as
+    module globals on each call.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     t0 = time.perf_counter()
     bound = 2 * k_max + odd
-    entries = (theta_f if odd else theta_g)(bound, order).entries
     if odd:
         prefactor = pochhammer_inf(1, 2, 2, order) ** 3
     else:
-        prefactor = pochhammer_inf(1, 1, 1, order) * pochhammer_inf(-1, 1, 1, order).inverse()
+        prefactor = (
+            pochhammer_inf(1, 1, 1, order) ** 2 * pochhammer_inf(1, 2, 2, order).inverse()
+        )
     prefactor = _tap(prefactor, "prefactor", perturb)
     family = Family.A if odd else Family.C
     row_order = (order + 1) // 2 if odd else order
     # a table left by an earlier, larger caller holds more rows than asked for
     rows = _direct_table(family, k_max, row_order)[: k_max + 1]
-    if perturb is not None:
-        rows += (QSeries.zero(row_order),) * (k_max + 1 - len(rows))
-        rows = [_tap(row, f"{family.value}_{k}", perturb) for k, row in enumerate(rows)]
-        entries = [_tap(e, f"theta_x{d}", perturb) for d, e in enumerate(entries)]
+    bumped_row = _tapped_index(perturb, f"{family.value}_")
+    if len(rows) <= bumped_row <= k_max:
+        rows += (QSeries.zero(row_order),) * (bumped_row + 1 - len(rows))
+    rows = [_tap(row, f"{family.value}_{k}", perturb) for k, row in enumerate(rows)]
+    # no theta term of G (F) reaches past x-degree 2*isqrt(order) (+ 1)
+    top = max(2 * math.isqrt(order), 2 * len(rows) - 2) + odd
+    top = max(top, _tapped_index(perturb, "theta_x"))
+    entries = (theta_f if odd else theta_g)(min(top, bound), order).entries
+    entries = [_tap(e, f"theta_x{d}", perturb) for d, e in enumerate(entries)]
     expected = {}
     for k, row in enumerate(rows):
         if not row.is_zero:
@@ -231,7 +250,9 @@ def verify_theorem_g(
     """Check G(x,q) = (q;q)_inf/(-q;q)_inf * sum_k C_k(q) x^(2k) through x^(2k_max).
 
     Also asserts that every odd x-degree entry of G vanishes.  k_max = 0 is
-    the seed identity 1 + 2 sum (-1)^n q^(n^2) = (q;q)_inf/(-q;q)_inf.
+    the seed identity 1 + 2 sum (-1)^n q^(n^2) = (q;q)_inf/(-q;q)_inf.  The
+    prefactor is built as (q;q)_inf^2/(q^2;q^2)_inf, from the cached
+    products, since 1 + q^e = (1 - q^2e)/(1 - q^e).
     """
     return _verify_theorem(0, k_max, order, perturb)
 

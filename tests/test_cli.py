@@ -282,11 +282,11 @@ def test_verify_quasimodular_order_check(capsys):
     assert rc == EXIT_USAGE
 
 
-@pytest.mark.parametrize("suite, builds", [("all", 3), ("quasimodular", 2)])
+@pytest.mark.parametrize("suite, builds", [("all", 2), ("quasimodular", 2)])
 def test_verify_builds_each_row_table_once(capsys, monkeypatch, suite, builds):
     # every caller asks for its largest k first, so no (family, order) row
     # table is rebuilt when a later caller asks for more rows: suite all
-    # builds A and C at the order and A at half the order for theorem-f
+    # builds A and C at the order, and theorem-f truncates A to half of it
     built = []
     direct_rows = macmahon._direct_rows
 
@@ -303,7 +303,23 @@ def test_verify_builds_each_row_table_once(capsys, monkeypatch, suite, builds):
     assert len(set(built)) == builds
 
 
-@pytest.mark.parametrize("job", ["verify_o200", "quasimodular_k12"])
+def test_verify_builds_each_eta_product_once(capsys):
+    # (q;q)_inf and (q^2;q^2)_inf are built once and shared by gen_explicit
+    # and the theorem suites; (-q;q)_inf is never built
+    pochhammer = qdiv.series.pochhammer_inf
+    pochhammer.cache_clear()
+    macmahon._explicit_prefactor.cache_clear()
+    rc, _, _ = run(capsys, ["verify", "--suite", "all", "--k-max", "4", "--order", "200"])
+    assert rc == EXIT_OK
+    assert pochhammer.cache_info().misses == 2
+    pochhammer(1, 1, 1, 200)
+    pochhammer(1, 2, 2, 200)
+    assert pochhammer.cache_info().misses == 2
+
+
+@pytest.mark.parametrize(
+    "job", ["verify_o200", "verify_o400", "verify_o800", "quasimodular_k12"]
+)
 def test_verify_reports_match_benchmark_digests(capsys, monkeypatch, job):
     # the benchmark's seed-0 reports, pinned by perfbench/digests.json, are
     # checked here too, in process; the digests file is only read

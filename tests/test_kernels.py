@@ -1,4 +1,5 @@
-"""Kernel properties: Kronecker-substitution conv_trunc against the schoolbook loop."""
+"""Kernel properties: conv_trunc against the schoolbook loop, inverse_trunc against
+an index loop."""
 
 import random
 from fractions import Fraction
@@ -100,6 +101,41 @@ def test_fraction_inputs_take_the_schoolbook_path(monkeypatch):
     calls.clear()
     _kernels_py.conv_trunc([1, -2, 3], [4, 5], 6)
     assert calls == []
+
+
+def inverse_index_loop(a, order):
+    """1/a through q^order by a loop over every index: the reference."""
+    a0 = a[0]
+    recip = a0 if a0 in (1, -1) else 1 / Fraction(a0)
+    out = [0] * (order + 1)
+    out[0] = recip
+    amax = min(len(a), order + 1)
+    for m in range(1, order + 1):
+        acc = 0
+        for i in range(1, min(m, amax - 1) + 1):
+            if a[i]:
+                acc += a[i] * out[m - i]
+        if acc:
+            out[m] = -acc * recip
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_matches_the_index_loop(seed):
+    rng = random.Random(9500 + seed)
+    for _ in range(40):
+        order = rng.choice([0, 1, rng.randint(2, 80)])
+        a = random_coeffs(
+            rng, rng.randint(1, order + 20),  # often longer than the order
+            rational=rng.random() < 0.3,
+            bound=2 ** rng.choice([1, 8, 64, 200]),
+            density=rng.choice([0.05, 0.3, 1.0]),
+        )
+        a[0] = rng.choice([1, -1, 3, -2 ** 200, Fraction(-5, 7)])
+        out = _kernels_py.inverse_trunc(a, order)
+        expected = inverse_index_loop(a, order)
+        assert out == expected
+        assert list(map(type, out)) == list(map(type, expected))
 
 
 def test_inverse_unit_constant_stays_integer():

@@ -24,8 +24,8 @@ from qdiv.macmahon import (
     theta_f,
     theta_g,
 )
-from qdiv.macmahon import _add_part, _direct_rows
-from qdiv.series import QSeries
+from qdiv.macmahon import _add_part, _direct_rows, _explicit_prefactor
+from qdiv.series import QSeries, pochhammer_inf
 
 
 def brute_force_count(n, k, odd_parts):
@@ -301,3 +301,10 @@ def test_bivar_series_order_validation():
         BivarSeries([QSeries.one(3), QSeries.one(4)])
     with pytest.raises(ValueError):
         BivarSeries([])
+
+
+def test_explicit_prefactors_match_the_product_forms():
+    # C's prefactor is built from (q^2;q^2)_inf, not from (-q;q)_inf
+    pq = pochhammer_inf(1, 1, 1, 300)
+    assert _explicit_prefactor(Family.C, 300) == pochhammer_inf(-1, 1, 1, 300) * pq.inverse()
+    assert _explicit_prefactor(Family.A, 300) * pq**3 == QSeries.one(300)

@@ -129,6 +129,23 @@ def test_pochhammer_order_zero_is_one():
     assert pochhammer_inf(1, 1, 1, 0) == QSeries.one(0)
 
 
+def test_div_by_int_matches_fraction_reciprocal():
+    rng = random.Random(5151)
+    for _ in range(60):
+        order = rng.randint(0, 30)
+        s = random_series(rng, order)
+        if rng.random() < 0.5:  # large ints, many of them multiples of n
+            s = s * rng.choice([2**70, -6 * 3**40, 12])
+        n = rng.choice([1, -1, 2, -2, 3, 7, -12, 2**65, -(3**41)])
+        quotient = s / n
+        expected = s * Fraction(1, n)
+        assert quotient == expected
+        assert list(map(type, quotient.coeffs)) == list(map(type, expected.coeffs))
+    assert (QSeries([Fraction(3, 2), 4], 1) / Fraction(3, 4)).coeffs == (2, Fraction(16, 3))
+    with pytest.raises(ZeroDivisionError):
+        QSeries([1], 0) / 0
+
+
 def test_pochhammer_rejects_constant_factor():
     with pytest.raises(ValueError):
         pochhammer_inf(1, 0, 1, 10)

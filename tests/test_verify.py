@@ -273,6 +273,70 @@ def test_larger_held_table_adds_no_products(monkeypatch):
     assert len(products) == cold == 6
 
 
+def spy_comparisons(monkeypatch):
+    """Record (x-degree, rhs) of every comparison, and the x-degree bound of theta."""
+    compared, bounds = [], []
+    first_mismatch = verify._first_mismatch
+
+    def spy(lhs, rhs, upto, x_degree):
+        compared.append((x_degree, rhs))
+        return first_mismatch(lhs, rhs, upto, x_degree)
+
+    monkeypatch.setattr(verify, "_first_mismatch", spy)
+    for name in ("theta_f", "theta_g"):
+        def theta(bound, order, original=getattr(verify, name)):
+            bounds.append(bound)
+            return original(bound, order)
+
+        monkeypatch.setattr(verify, name, theta)
+    return compared, bounds
+
+
+def test_theorem_g_prefactor_is_the_minus_q_quotient(monkeypatch):
+    # the k = 0 entry of G is compared with the prefactor times C_0 = 1
+    compared, _ = spy_comparisons(monkeypatch)
+    assert verify_theorem_g(0, 300).passed
+    old = series.pochhammer_inf(1, 1, 1, 300) * series.pochhammer_inf(-1, 1, 1, 300).inverse()
+    assert compared[0] == (0, old)
+
+
+@pytest.mark.parametrize("suite", [verify_theorem_f, verify_theorem_g])
+def test_theorem_suite_work_does_not_grow_with_k_max(monkeypatch, suite):
+    compared, bounds = spy_comparisons(monkeypatch)
+    assert suite(50, 100).passed
+    work = (len(compared), list(bounds))
+    compared.clear()
+    bounds.clear()
+    assert suite(10**6, 100).passed
+    assert (len(compared), bounds) == work
+    assert work[0] <= 2 * 10 + 2
+
+
+@pytest.mark.parametrize(
+    "suite, odd, row", [(verify_theorem_f, 1, "A"), (verify_theorem_g, 0, "C")]
+)
+def test_perturbation_past_the_terms_is_located(suite, odd, row):
+    # degrees past the last theta term and row are not compared unperturbed,
+    # but a perturbation of any of them is still found where it lies
+    k_max = 50
+    top = 2 * k_max + odd
+    r = suite(k_max, 100, perturb=Perturbation(f"theta_x{top}", 7))
+    assert r.first_mismatch == Mismatch(top, 7, 1, 0)
+    r = suite(k_max, 100, perturb=Perturbation(f"{row}_{k_max}", 7))
+    assert r.first_mismatch == Mismatch(top, 7 * (1 + odd), 0, 1)
+    for target in (f"theta_x{top + 2}", f"{row}_{k_max + 1}", f"{row}_07", f"theta_x{top}x"):
+        assert suite(k_max, 100, perturb=Perturbation(target, 7)).passed
+
+
+@pytest.mark.parametrize("suite, odd", [(verify_theorem_f, 1), (verify_theorem_g, 0)])
+def test_theta_terms_past_the_rows_are_compared(monkeypatch, suite, odd):
+    # a row table that ends early leaves theta terms with no row to match;
+    # they are compared all the same
+    table = verify._direct_table
+    monkeypatch.setattr(verify, "_direct_table", lambda f, k, o: table(f, k, o)[:2])
+    assert suite(4, 30).first_mismatch.x_degree == 4 + odd
+
+
 def test_perturbation_of_unknown_target_is_inert():
     r = verify_theorem_f(1, 40, perturb=Perturbation("no-such-series", 3))
     assert r.passed
