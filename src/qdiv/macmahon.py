@@ -30,7 +30,7 @@ import enum
 import functools
 import math
 import threading
-from operator import add
+from operator import add, truediv
 from typing import Literal, Sequence
 
 from .series import QSeries, pochhammer_inf
@@ -256,15 +256,16 @@ def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
     seed = gen_direct(family, 1, order)
     cur = seed
     for j in range(2, k + 1):
-        if family is Family.A:
-            cur = ((6 * seed + j * (j - 1)) * cur - 2 * cur.q_derivative()) / (
-                (2 * j + 1) * 2 * j
-            )
-        else:
-            cur = ((2 * seed + (j - 1) ** 2) * cur - cur.q_derivative()) / (
-                2 * j * (2 * j - 1)
-            )
+        cur = truediv(*_recurrence_step(family, j, seed, cur))
     return cur
+
+
+def _recurrence_step(family: Family, k: int, seed: QSeries, prev: QSeries) -> tuple:
+    """(numerator, denominator) of `gen_recurrence`'s step from row k-1 (`prev`)
+    to row k, with `seed` the row k = 1; row k is their quotient."""
+    if family is Family.A:
+        return (6 * seed + k * (k - 1)) * prev - 2 * prev.q_derivative(), (2 * k + 1) * 2 * k
+    return (2 * seed + (k - 1) ** 2) * prev - prev.q_derivative(), 2 * k * (2 * k - 1)
 
 
 # -- rescaled Chebyshev polynomials ---------------------------------------------

@@ -8,11 +8,15 @@ then the candidate is re-evaluated and checked against every tracked
 coefficient of the target, so "the solver found something" and "the identity
 holds" stay distinguishable.
 
-For A_k no solve is needed: `recurrence_polynomials` derives each A_k in
-Q[E2, E4, E6] from the paper's recurrence and Ramanujan's derivative
-identities, and the quasimodular suite checks those candidates against the
-defining sum.  `window_ranks` tells, by a rank modulo a prime, whether the
-solve `decompose` would run has a unique solution.
+For A_k no solve is needed.  The quasimodular suite certifies A_k by the
+paper's induction, each check exact through the order: (1) Ramanujan's
+identities for D = q d/dq of E2, E4 and E6 (`RAMANUJAN_D`); (2) the base
+case A_1 = (1 - E2)/24; (3) the recurrence from A_{k-1} to A_k on the
+defining sums, so that every A_k equals some polynomial of weight <= 2k;
+(4) that polynomial, which `recurrence_polynomials` derives from the same
+recurrence and identities, against A_k on the window `decompose` would
+solve.  `window_ranks` shows, by a rank modulo a prime, that the window has
+full rank, which pins the polynomial and leaves the solve no free column.
 
 `fit_divisor_form` probes the related representation a_{n,k} =
 sum_j p_j(n) * sigma_{2j-1}(n) with polynomial weights p_j of bounded degree;
@@ -29,7 +33,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .linalg import IncrementalSolver
-from .macmahon import Family, gen_direct
+from .macmahon import Family, _recurrence_step, gen_direct
 from .series import QSeries, divisor_sigma, eisenstein
 
 
@@ -150,20 +154,24 @@ def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
     """Series of each monomial of `basis`: its parent's series times one generator.
 
     The parent has one E2 fewer; with no E2, one E4 fewer; otherwise one E6
-    fewer.  Precondition: every parent is in `basis` and comes earlier, as in
-    a full basis in `_monomials` order (weight ascending).
+    fewer.  The constant and the generators E2, E4, E6 are their own series,
+    with no product.  Precondition: every parent is in `basis` and comes
+    earlier, as in a full basis in `_monomials` order (weight ascending).
     """
-    gens = {w: eisenstein(w, order) for w in (2, 4, 6)}
-    built: dict[QMMonomial, QSeries] = {}
+    e2, e4, e6 = (eisenstein(w, order) for w in (2, 4, 6))
+    built = {
+        QMMonomial(0, 0, 0): QSeries.one(order), QMMonomial(1, 0, 0): e2,
+        QMMonomial(0, 1, 0): e4, QMMonomial(0, 0, 1): e6,
+    }
     for m in basis:
+        if m in built:
+            continue
         if m.a:
-            built[m] = built[QMMonomial(m.a - 1, m.b, m.c)] * gens[2]
+            built[m] = built[QMMonomial(m.a - 1, m.b, m.c)] * e2
         elif m.b:
-            built[m] = built[QMMonomial(0, m.b - 1, m.c)] * gens[4]
-        elif m.c:
-            built[m] = built[QMMonomial(0, 0, m.c - 1)] * gens[6]
+            built[m] = built[QMMonomial(0, m.b - 1, m.c)] * e4
         else:
-            built[m] = QSeries.one(order)
+            built[m] = built[QMMonomial(0, 0, m.c - 1)] * e6
     return [built[m] for m in basis]
 
 
@@ -192,6 +200,16 @@ def _integer_combination(
             scale = coeff.numerator * (denom // coeff.denominator)
             combo = [a + scale * b for a, b in zip(combo, col.coeffs)]
     return combo, denom
+
+
+def _first_difference(combo, denom: int, target: QSeries) -> Optional[tuple]:
+    """(n, target[n], combo[n] / denom) at the first n where combo[n] differs
+    from denom * target[n], the quotient an int when integral; else None."""
+    for n, (c, t) in enumerate(zip(combo, target.coeffs)):
+        if c != denom * t:
+            rhs = Fraction(c, denom)
+            return n, t, rhs.numerator if rhs.denominator == 1 else rhs
+    return None
 
 
 def decompose(
@@ -237,17 +255,9 @@ def decompose(
             )
     values = solver.solution()
     ambiguous = bool(solver.free_columns())
-    combo, denom = _integer_combination(values, columns, order)
-    for n, (c, t) in enumerate(zip(combo, target.coeffs)):
-        if c != denom * t:
-            rhs = Fraction(c, denom)
-            raise NoDecompositionError(
-                weight_bound,
-                "verify",
-                n,
-                t,
-                rhs.numerator if rhs.denominator == 1 else rhs,
-            )
+    difference = _first_difference(*_integer_combination(values, columns, order), target)
+    if difference is not None:
+        raise NoDecompositionError(weight_bound, "verify", *difference)
     return QMDecomposition(
         terms={m: coeff for m, coeff in zip(basis, values) if coeff},
         weight_bound=weight_bound,
@@ -319,6 +329,43 @@ def recurrence_polynomials(k_max: int) -> list[dict[QMMonomial, Fraction]]:
         cur.update({key: -2 * v for key, v in _q_derivative(prev).items()})
         polys.append({key: v / ((2 * k + 1) * 2 * k) for key, v in cur.items() if v})
     return [{QMMonomial(*key): v for key, v in poly.items()} for poly in polys]
+
+
+def _candidate_difference(
+    poly: dict, columns: dict, target: QSeries, order: int
+) -> Optional[tuple]:
+    """`_first_difference` through `order` of the polynomial `poly` in the
+    Eisenstein `columns` against `target`, in integers over the lcm of the
+    polynomial's denominators."""
+    combo = _integer_combination(list(poly.values()), [columns[m] for m in poly], order)
+    return _first_difference(*combo, target)
+
+
+def induction_differences(rows: list[QSeries], order: int) -> tuple[dict, list]:
+    """The paper's induction on rows[1..] = A_1, A_2, ..., each check exact
+    through `order`: (columns of weight <= 8, differences).
+
+    differences[0] is the first difference of Ramanujan's identities
+    D E_w = R_w(E2, E4, E6), w = 2, 4, 6, with R_w read from RAMANUJAN_D;
+    differences[1] that of 24 A_1 = 1 - E2; differences[k], k >= 2, that of
+    the step of `gen_recurrence` from rows[k-1] to rows[k], its numerator
+    against its denominator times rows[k].  Each is None where the check
+    holds, else a `_first_difference` triple.  The steps read only the rows
+    and run before any column is built, so their work does not add to the
+    memory the columns hold.
+    """
+    steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, len(rows)))
+    differences = [None, None] + [
+        _first_difference(numerator.coeffs, denominator, row)
+        for (numerator, denominator), row in zip(steps, rows[2:])
+    ]
+    columns = monomial_columns(8, order)
+    differences[1] = _first_difference((1 - columns[QMMonomial(1, 0, 0)]).coeffs, 24, rows[1])
+    for exps, image in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), RAMANUJAN_D):
+        image = {QMMonomial(*e): c for e, c in image.items()}
+        derivative = columns[QMMonomial(*exps)].q_derivative()
+        differences[0] = differences[0] or _candidate_difference(image, columns, derivative, order)
+    return columns, differences
 
 
 _RANK_PRIME = 2**31 - 1

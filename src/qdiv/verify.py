@@ -10,7 +10,7 @@ Every suite takes an optional `Perturbation` naming one of its intermediate
 series; the named series gets a single coefficient bumped before use.  This
 is the fault-injection seam: a suite that cannot be made to fail by a
 one-coefficient perturbation would be vacuous.  `perturbable_targets`
-enumerates the valid names per suite.
+enumerates the valid names per suite; a suite refuses any other name.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .macmahon import (
     oracle_a, oracle_c, theta_f, theta_g,
 )
 from .quasimodular import (
-    NoDecompositionError, _integer_combination, check_basis_size, decompose,
-    monomial_basis, monomial_columns, recurrence_polynomials, window_ranks,
+    NoDecompositionError, _candidate_difference, check_basis_size, decompose,
+    induction_differences, monomial_basis, monomial_columns,
+    recurrence_polynomials, window_ranks,
 )
 from .series import QSeries, pochhammer_inf
 
@@ -167,6 +168,18 @@ def perturbable_targets(suite: str, k_max: int) -> list[str]:
     raise ValueError(f"unknown suite {suite!r}")
 
 
+def _refuse_unknown_target(perturb: Optional[Perturbation], suite: str, k_max: int) -> None:
+    """Raise ValueError unless `perturb` is None or names one of
+    `perturbable_targets(suite, k_max)`.  A name ending in the index i is a
+    target at k_max exactly when it is one at min(k_max, i), so only those
+    are listed, and the cost does not grow with k_max."""
+    if perturb is not None:
+        name = perturb.target
+        index = name[len(name.rstrip("0123456789")):]
+        if name not in perturbable_targets(suite, min(k_max, int(index or 0))):
+            raise ValueError(f"{suite} at k_max {k_max} has no perturbable series {name!r}")
+
+
 def _tapped_index(perturb: Optional[Perturbation], prefix: str) -> int:
     """i when `perturb` names the series f"{prefix}{i}", else -1."""
     if perturb is None or not perturb.target.startswith(prefix):
@@ -195,6 +208,7 @@ def _verify_theorem(
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    _refuse_unknown_target(perturb, "theorem-f" if odd else "theorem-g", k_max)
     t0 = time.perf_counter()
     bound = 2 * k_max + odd
     if odd:
@@ -264,6 +278,7 @@ def verify_method_agreement(
     oracle on exponents up to min(order, 40)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _refuse_unknown_target(perturb, "agreement", k)
     t0 = time.perf_counter()
     direct = _tap(gen_direct(family, k, order), "direct", perturb)
     explicit = _tap(gen_explicit(family, k, order), "explicit", perturb)
@@ -280,65 +295,68 @@ def verify_method_agreement(
     return _report("method-agreement", parameters, order, mismatch, t0)
 
 
-def _candidate_mismatch(
-    poly: dict, columns: dict, target: QSeries, order: int
-) -> Optional[Mismatch]:
-    """First coefficient through `order` where the polynomial `poly` in the
-    Eisenstein `columns` differs from `target`, compared in integers over the
-    lcm D of its denominators; the candidate's value is an int when integral."""
-    combo, denom = _integer_combination(
-        list(poly.values()), [columns[m] for m in poly], order
-    )
-    for n, (c, t) in enumerate(zip(combo, target.coeffs)):
-        if c != denom * t:
-            rhs = Fraction(c, denom)
-            return Mismatch(None, n, t, rhs.numerator if rhs.denominator == 1 else rhs)
-    return None
-
-
 def verify_quasimodularity(
     k_max: int, order: int, perturb: Optional[Perturbation] = None
 ) -> VerificationReport:
     """Certify A_1..A_{k_max} as polynomials in E2, E4, E6 of weight <= 2k.
 
-    Each candidate comes from the paper's recurrence (`recurrence_polynomials`)
-    with no solve, and is checked against the defining sum through `order` in
-    integers; the first difference is the mismatch, with the candidate's
-    value.  `ambiguous` keeps its meaning, that the solve `decompose` would
-    run has a free column: a full rank modulo a prime (`window_ranks`) proves
-    it has none, and only a window short of that rank goes to `decompose`,
-    whose details are then reported.
-    Records decomposition sizes in the report details, along with an
-    informational probe showing that the odd-part family's C_1 does NOT
-    decompose in this basis (expected; its failure does not fail the suite).
-    The Eisenstein columns of weight <= 2k_max are built once and shared.
-    Raises ValueError, before any series is built, when the weight-2k_max
-    basis is too large for `order`.
+    The certificate is the paper's induction, each check exact through
+    `order`, with D = q d/dq:
+
+    1. Ramanujan's identities D E_w = R_w(E2, E4, E6) for w = 2, 4, 6, each
+       R_w read from `RAMANUJAN_D`, on the columns of weight <= 8;
+    2. the base case A_1 = (1 - E2)/24 against row 1 of the defining sum;
+    3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} on the
+       rows, for k = 2..k_max, as `gen_recurrence` states it.  With 1 and 2,
+       induction makes each A_k equal some Q_k in Q[E2, E4, E6] of weight
+       <= 2k through q^order;
+    4. `recurrence_polynomials(k_max)[k]` against row k on the window that
+       `decompose` would solve, coefficients 0..min(m_k + 4, order) with m_k
+       the weight-2k basis size.  A window of full rank modulo a prime
+       (`window_ranks`) has full rank over Q, so it pins that polynomial to
+       Q_k, with no free column: `ambiguous` is false.  A window short of
+       that rank goes to `decompose`, whose details are then reported.
+
+    The first failing check is the mismatch, with the candidate's value; a
+    failing step reports its numerator over (2k+1) 2k, which is Q_k's value
+    when the rows below k are right.  Only the 11 columns of weight <= 8
+    are built through `order`, and those of weight <= 2k_max only through
+    the largest window.  Records decomposition sizes in the report details,
+    along with an informational probe showing that the odd-part family's C_1
+    does NOT decompose in this basis (expected; its failure does not fail
+    the suite).  Raises ValueError, before any series is built, when the
+    weight-2k_max basis is too large for `order` or `perturb` names no
+    series of this suite.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _refuse_unknown_target(perturb, "quasimodular", k_max)
     check_basis_size(2 * k_max, order)
     t0 = time.perf_counter()
     details: dict = {}
-    mismatch = None
+    # the basis-size check leaves every A_k with k <= k_max feasible
     rows = _direct_table(Family.A, k_max, order)
-    columns = monomial_columns(2 * k_max, order)
+    rows = [_tap(row, f"A_{k}", perturb) for k, row in enumerate(rows[: k_max + 1])]
+    columns, differences = induction_differences(rows, order)
     polys = recurrence_polynomials(k_max)
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
-    ranks = window_ranks(list(columns.values()), sizes, order)
+    windows = [min(m + 4, order) for m in sizes]
+    window_columns = monomial_columns(2 * k_max, windows[-1])
+    ranks = window_ranks(list(window_columns.values()), sizes, order)
+    mismatch = None
+    difference = differences[0]
     for k in range(1, k_max + 1):
-        # the basis-size check leaves every A_k with k <= k_max feasible
-        target = _tap(rows[k], f"A_{k}", perturb)
-        mismatch = _candidate_mismatch(polys[k], columns, target, order)
-        if mismatch is not None:
+        difference = difference or differences[k] or _candidate_difference(
+            polys[k], window_columns, rows[k], windows[k - 1]
+        )
+        if difference is not None:
+            mismatch = Mismatch(None, *difference)
             break
         if ranks[k - 1] == sizes[k - 1]:
             terms, ambiguous = len(polys[k]), False
         else:
             try:
-                dec = decompose(
-                    target, 2 * k, order, description=f"A_{k}", columns=columns
-                )
+                dec = decompose(rows[k], 2 * k, order, description=f"A_{k}")
             except NoDecompositionError as e:
                 mismatch = Mismatch(None, e.exponent, e.lhs, e.rhs)
                 break

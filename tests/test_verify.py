@@ -1,11 +1,16 @@
 """Identity suite tests: passing runs, report structure, fault injection."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from qdiv import linalg, macmahon, quasimodular, series, verify
 from qdiv.macmahon import Family, gen_direct, gen_explicit
+from qdiv.quasimodular import (
+    RAMANUJAN_D, monomial_basis, monomial_columns, recurrence_polynomials,
+)
 from qdiv.verify import (
     Mismatch,
     Perturbation,
@@ -200,6 +205,99 @@ def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
     assert r == clean
 
 
+def full_order_mismatch(k_max, order, columns, perturb):
+    """The reference: each recurrence polynomial summed over the weight-2k_max
+    columns through the whole order and compared with its row, k = 1, 2, ..."""
+    polys = recurrence_polynomials(k_max)
+    for k in range(1, k_max + 1):
+        target = verify._tap(gen_direct(Family.A, k, order), f"A_{k}", perturb)
+        difference = quasimodular._candidate_difference(polys[k], columns, target, order)
+        if difference is not None:
+            return Mismatch(None, *difference)
+    return None
+
+
+@pytest.mark.parametrize("k_max, order", [(6, 120), (8, 200)])
+def test_quasimodular_mismatch_matches_the_full_order_reference(k_max, order):
+    # seeded bumps inside and past each row's solve window, by ints and
+    # Fractions: the induction locates each where the full-order check does
+    rng = random.Random(order)
+    columns = monomial_columns(2 * k_max, order)
+    for _ in range(12):
+        k = rng.randint(1, k_max)
+        window = min(len(monomial_basis(2 * k)) + 4, order)
+        exponent = rng.choice([rng.randint(0, window), rng.randint(window + 1, order)])
+        delta = rng.choice([rng.randint(1, 9), Fraction(rng.randint(-9, -1), rng.randint(2, 9))])
+        p = Perturbation(f"A_{k}", exponent, delta)
+        found = verify_quasimodularity(k_max, order, perturb=p).first_mismatch
+        expected = full_order_mismatch(k_max, order, columns, p)
+        assert expected is not None and found == expected, p
+        assert type(found.rhs_coefficient) is type(expected.rhs_coefficient), p
+
+
+def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
+    # the induction holds whatever the polynomials say; only the window pin
+    # sees a wrong coefficient
+    polys = verify.recurrence_polynomials
+
+    def nudged(k_max):
+        found = polys(k_max)
+        found[3][next(iter(found[3]))] += Fraction(1, 10**6)
+        return found
+
+    monkeypatch.setattr(verify, "recurrence_polynomials", nudged)
+    r = verify_quasimodularity(4, 100)
+    assert not r.passed
+    assert r.first_mismatch.q_exponent <= len(monomial_basis(6)) + 4
+
+
+def test_quasimodularity_checks_ramanujan_identities(monkeypatch):
+    # D E6 enters no A_k with k <= 2: only the identity check reads it, and
+    # finds the wrong image E2*E6/2 - E4^2/3 at q^0, 1/6 against D E6 = 0
+    monkeypatch.setitem(RAMANUJAN_D[2], (0, 2, 0), Fraction(-1, 3))
+    r = verify_quasimodularity(2, 60)
+    assert r.first_mismatch == Mismatch(None, 0, 0, Fraction(1, 6))
+
+
+def test_quasimodularity_checks_eisenstein_series_through_the_order(monkeypatch):
+    eisenstein = quasimodular.eisenstein
+
+    def bumped(weight, order):
+        e = eisenstein(weight, order)
+        return e + series.QSeries.monomial(300, order) if weight == 4 else e
+
+    monkeypatch.setattr(quasimodular, "eisenstein", bumped)
+    r = verify_quasimodularity(12, 400)
+    assert r.first_mismatch.q_exponent == 300
+
+
+def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypatch):
+    built = []
+    build = quasimodular._monomial_series
+
+    def spy(basis, order):
+        built.append((len(basis), order))
+        return build(basis, order)
+
+    monkeypatch.setattr(quasimodular, "_monomial_series", spy)
+    assert verify_quasimodularity(12, 400).passed
+    # the weight-24 columns only through the largest window, 102 + 4
+    assert built == [(11, 400), (102, 106)]
+
+
+def test_recurrence_step_is_shared_by_the_route_and_the_suite(monkeypatch):
+    step = macmahon._recurrence_step
+
+    def wrong(family, k, seed, prev):
+        numerator, denominator = step(family, k, seed, prev)
+        return numerator, denominator + (k == 3)
+
+    monkeypatch.setattr(macmahon, "_recurrence_step", wrong)
+    monkeypatch.setattr(quasimodular, "_recurrence_step", wrong)
+    assert not verify_method_agreement(Family.A, 3, 60).passed
+    assert not verify_quasimodularity(3, 60).passed
+
+
 def test_quasimodularity_refuses_oversized_basis_before_any_column(monkeypatch):
     # the weight-80 basis has more than 50 monomials: refused before the
     # suite builds its first Eisenstein column
@@ -324,8 +422,10 @@ def test_perturbation_past_the_terms_is_located(suite, odd, row):
     assert r.first_mismatch == Mismatch(top, 7, 1, 0)
     r = suite(k_max, 100, perturb=Perturbation(f"{row}_{k_max}", 7))
     assert r.first_mismatch == Mismatch(top, 7 * (1 + odd), 0, 1)
+    # names next to the targets are no targets of the suite
     for target in (f"theta_x{top + 2}", f"{row}_{k_max + 1}", f"{row}_07", f"theta_x{top}x"):
-        assert suite(k_max, 100, perturb=Perturbation(target, 7)).passed
+        with pytest.raises(ValueError, match="no perturbable series"):
+            suite(k_max, 100, perturb=Perturbation(target, 7))
 
 
 @pytest.mark.parametrize("suite, odd", [(verify_theorem_f, 1), (verify_theorem_g, 0)])
@@ -337,9 +437,20 @@ def test_theta_terms_past_the_rows_are_compared(monkeypatch, suite, odd):
     assert suite(4, 30).first_mismatch.x_degree == 4 + odd
 
 
-def test_perturbation_of_unknown_target_is_inert():
-    r = verify_theorem_f(1, 40, perturb=Perturbation("no-such-series", 3))
-    assert r.passed
+@pytest.mark.parametrize(
+    "run, target",
+    [
+        (lambda p: verify_theorem_f(2, 100, perturb=p), "A_7"),
+        (lambda p: verify_theorem_g(2, 100, perturb=p), "A_1"),
+        (lambda p: verify_method_agreement(Family.A, 2, 100, perturb=p), "Direct"),
+        (lambda p: verify_quasimodularity(4, 100, perturb=p), "A_9"),
+    ],
+    ids=["theorem-f", "theorem-g", "agreement", "quasimodular"],
+)
+def test_perturbation_of_unknown_target_is_refused(run, target):
+    # a misspelt target would otherwise leave the suite unperturbed and passing
+    with pytest.raises(ValueError, match="no perturbable series"):
+        run(Perturbation(target, 3))
 
 
 def test_perturbation_exponent_out_of_range():
