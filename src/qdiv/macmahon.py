@@ -30,6 +30,7 @@ import enum
 import functools
 import math
 import threading
+from itertools import accumulate
 from operator import add, truediv
 from typing import Literal, Sequence
 
@@ -42,48 +43,59 @@ class Family(enum.Enum):
     A = "A"  # parts are arbitrary strictly increasing positive integers
     C = "C"  # parts are strictly increasing odd positive integers
 
-    def part_value(self, m: int) -> int:
-        return m if self is Family.A else 2 * m - 1
+    @property
+    def step(self) -> int:
+        """Gap between consecutive part values, 1 for A and 2 for C: the
+        part of index i >= 1 is step*(i - 1) + 1."""
+        return 1 if self is Family.A else 2
 
 
 # -- exhaustive partition oracles ----------------------------------------------
 
 
-def _min_tail(family: Family, j: int, m: int) -> int:
-    """Least possible sum of j parts with indices strictly above m."""
-    base = j * m + j * (j + 1) // 2
-    return base if family is Family.A else 2 * base - j
+def _min_tail(step: int, j: int, m: int) -> int:
+    """Least possible sum of j parts with indices strictly above m, the part
+    of index i being step*(i - 1) + 1."""
+    return step * (j * m + j * (j + 1) // 2) - (step - 1) * j
 
 
 @functools.lru_cache(maxsize=1 << 17)
-def _count(family: Family, rem: int, j: int, m_prev: int) -> int:
-    """Weighted count of j-part representations of rem with indices above m_prev.
+def _count(step: int, rem: int, j: int, m_prev: int) -> int:
+    """Weighted count of j-part representations of rem, j >= 1, with part
+    indices above m_prev, the part of index i being step*(i - 1) + 1.
 
-    Depends on neither the target n nor k, so one cache serves every oracle
-    call of a family; it is bounded because `--allow-slow` tables may reach
-    states far beyond the few thousand of a verify run.
+    Keyed on plain ints (`Family.step`), so a memo lookup hashes no enum.
+    One part v > the part of index m_prev counts rem // v when it divides
+    rem; for more parts the multiplicities of the smallest part are walked
+    by subtracting it.  Depends on neither the target n nor k, so one cache
+    serves every oracle call of a family; it is bounded because
+    `--allow-slow` tables may reach states far beyond the few thousand of a
+    verify run.
     """
-    if j == 0:
-        return 1 if rem == 0 else 0
+    v = step * m_prev + 1  # the part of index m_prev + 1
+    if j == 1:
+        return sum(rem // u for u in range(v, rem + 1, step) if not rem % u)
     total = 0
     m = m_prev + 1
-    while family.part_value(m) + _min_tail(family, j - 1, m) <= rem:
-        v = family.part_value(m)
-        tail = _min_tail(family, j - 1, m)
-        s = 1
-        while s * v + tail <= rem:
-            sub = _count(family, rem - s * v, j - 1, m)
+    tail = _min_tail(step, j - 1, m)
+    while v + tail <= rem:
+        s, r = 1, rem - v
+        while r >= tail:
+            sub = _count(step, r, j - 1, m)
             if sub:
                 total += s * sub
             s += 1
+            r -= v
         m += 1
+        v += step
+        tail += step * (j - 1)
     return total
 
 
 def _oracle(n: int, k: int, family: Family) -> int:
     if n < 1 or k < 1:
         raise ValueError("oracle requires n >= 1 and k >= 1")
-    return _count(family, n, k, 0)
+    return _count(family.step, n, k, 0)
 
 
 def oracle_a(n: int, k: int) -> int:
@@ -102,7 +114,7 @@ def oracle_c(n: int, k: int) -> int:
 def _feasible_rows(family: Family, order: int) -> int:
     """Largest j whose least part sum (j(j+1)/2 for A, j^2 for C) is <= order."""
     j = 0
-    while _min_tail(family, j + 1, 0) <= order:
+    while _min_tail(family.step, j + 1, 0) <= order:
         j += 1
     return j
 
@@ -110,14 +122,20 @@ def _feasible_rows(family: Family, order: int) -> int:
 def _add_part(dst: list, src: list, lo: int, v: int, order: int) -> None:
     """dst += q^v * src / (1-q^v)^2 in place, for int lists vanishing below lo.
 
-    The shifted copy of src is divided by (1-q^v) twice as two running sums
-    of stride v, one block of v coefficients at a time.
+    The shifted copy t of src is divided by (1-q^v) twice as two running sums
+    of stride v.  When the stride is short (v*v <= len(t)), each residue
+    class t[r::v] is summed twice by one `accumulate` call each; otherwise
+    the few long strides are swept one block of v coefficients at a time.
     """
     t = src[lo : order + 1 - v]
     n = len(t)
-    for _ in range(2):
-        for b in range(v, n, v):
-            t[b : b + v] = map(add, t[b : b + v], t[b - v : b])
+    if v * v <= n:
+        for r in range(v):
+            t[r::v] = accumulate(accumulate(t[r::v]))
+    else:
+        for _ in range(2):
+            for b in range(v, n, v):
+                t[b : b + v] = map(add, t[b : b + v], t[b - v : b])
     start = lo + v
     dst[start:] = map(add, dst[start:], t)
 
@@ -150,6 +168,7 @@ def _direct_rows(family: Family, k: int, order: int) -> tuple:
 
 
 _TABLES: dict = {}
+_CHAINS: dict = {}  # gen_recurrence's chains of rows 1..k
 _TABLES_KEPT = 8
 _TABLES_LOCK = threading.Lock()
 
@@ -179,10 +198,16 @@ def _direct_table(family: Family, k: int, order: int) -> tuple:
                 tuple(row.truncate(order) for row in larger[-1][: want + 1])
                 if larger else _direct_rows(family, want, order)
             )
-        _TABLES[key] = rows
-        while len(_TABLES) > _TABLES_KEPT:
-            del _TABLES[next(iter(_TABLES))]
+        _keep(_TABLES, key, rows)
     return rows
+
+
+def _keep(store: dict, key, value) -> None:
+    """store[key] = value as the most recently used entry; entries past the
+    `_TABLES_KEPT` most recently used are dropped."""
+    store[key] = value
+    while len(store) > _TABLES_KEPT:
+        del store[next(iter(store))]
 
 
 def gen_direct(family: Family, k: int, order: int) -> QSeries:
@@ -248,16 +273,28 @@ def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
     than a constructor, so k = 1 returns the seed unchanged.  Zero is a
     fixed point of the recurrence, so past the last feasible row the answer
     is the zero series at once; within it no A_j (C_j) vanishes.
+
+    The chain of rows 1..k of each (family, order) is built once and
+    extended when a larger k is asked for; the few most recently used chains
+    are kept, as the row tables are.  A kept chain serves only the seed row
+    and the step rule `_recurrence_step` it was built from: a different seed
+    or a replaced step starts a new chain.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > _feasible_rows(family, order):
         return QSeries.zero(order)
     seed = gen_direct(family, 1, order)
-    cur = seed
-    for j in range(2, k + 1):
-        cur = truediv(*_recurrence_step(family, j, seed, cur))
-    return cur
+    step = _recurrence_step
+    key = (family, order)
+    with _TABLES_LOCK:
+        held_step, chain = _CHAINS.pop(key, (None, None))
+        if held_step is not step or chain[0] != seed:
+            chain = [seed]
+        while len(chain) < k:
+            chain.append(truediv(*step(family, len(chain) + 1, seed, chain[-1])))
+        _keep(_CHAINS, key, (step, chain))
+    return chain[k - 1]
 
 
 def _recurrence_step(family: Family, k: int, seed: QSeries, prev: QSeries) -> tuple:

@@ -10,9 +10,10 @@ holds" stay distinguishable.
 
 For A_k no solve is needed.  The quasimodular suite certifies A_k by the
 paper's induction, each check exact through the order: (1) Ramanujan's
-identities for D = q d/dq of E2, E4 and E6 (`RAMANUJAN_D`); (2) the base
-case A_1 = (1 - E2)/24; (3) the recurrence from A_{k-1} to A_k on the
-defining sums, so that every A_k equals some polynomial of weight <= 2k;
+identities for D = q d/dq of those of E2, E4 and E6 that the steps to A_k
+differentiate (`RAMANUJAN_D`); (2) the base case A_1 = (1 - E2)/24; (3) the
+recurrence from A_{k-1} to A_k on the defining sums, so that every A_k
+equals some polynomial of weight <= 2k;
 (4) that polynomial, which `recurrence_polynomials` derives from the same
 recurrence and identities, against A_k on the window `decompose` would
 solve.  `window_ranks` shows, by a rank modulo a prime, that the window has
@@ -297,14 +298,15 @@ def _mul(f: dict, g: dict) -> Counter:
     return out
 
 
-def _q_derivative(poly: dict) -> Counter:
-    """D applied to {(a, b, c): coefficient} as a derivation, through RAMANUJAN_D."""
+def _q_derivative(poly: dict, images: list) -> Counter:
+    """D applied to {(a, b, c): coefficient} as a derivation, with D of the
+    generators E2, E4, E6 read from `images`, in RAMANUJAN_D's form."""
     out: Counter = Counter()
     for exps, coeff in poly.items():
         for i, e in enumerate(exps):
             if e:
                 lower = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out.update(_mul({lower: e * coeff}, RAMANUJAN_D[i]))
+                out.update(_mul({lower: e * coeff}, images[i]))
     return out
 
 
@@ -315,20 +317,32 @@ def recurrence_polynomials(k_max: int) -> list[dict[QMMonomial, Fraction]]:
     A_k = [(6*A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1}] / ((2k+1) 2k), D = q d/dq,
     which stays in Q[E2, E4, E6] by RAMANUJAN_D.  Entry k maps the monomials
     of A_k, all of weight <= 2k, to their nonzero coefficients.
+
+    The chain runs in integers: A_k is carried as integer numerators over
+    one denominator.  With s the lcm of 4 and the denominators of
+    RAMANUJAN_D (s = 12), s*D and s*6*A_1 = (s/4)*(1 - E2) have integer
+    coefficients, so each step multiplies the denominator by s*(2k+1)*2k.
+    The Fractions are made once, at the end.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     one = (0, 0, 0)
-    a1 = {one: Fraction(1, 24), (1, 0, 0): Fraction(-1, 24)}
-    polys = [{one: Fraction(1)}, a1][: k_max + 1]
+    scale = math.lcm(4, *(c.denominator for image in RAMANUJAN_D for c in image.values()))
+    images = [{e: int(scale * c) for e, c in image.items()} for image in RAMANUJAN_D]
+    a1 = {one: 1, (1, 0, 0): -1}  # 24 * A_1
+    chain = [({one: 1}, 1), (a1, 24)][: k_max + 1]
     for k in range(2, k_max + 1):
-        prev = polys[-1]
-        factor = {key: 6 * v for key, v in a1.items()}
-        factor[one] += k * (k - 1)
+        prev, denominator = chain[-1]
+        factor = {key: scale // 4 * v for key, v in a1.items()}  # s * 6 * A_1
+        factor[one] += scale * k * (k - 1)
         cur = _mul(factor, prev)
-        cur.update({key: -2 * v for key, v in _q_derivative(prev).items()})
-        polys.append({key: v / ((2 * k + 1) * 2 * k) for key, v in cur.items() if v})
-    return [{QMMonomial(*key): v for key, v in poly.items()} for poly in polys]
+        cur.update({key: -2 * v for key, v in _q_derivative(prev, images).items()})
+        denominator *= scale * (2 * k + 1) * 2 * k
+        chain.append(({key: v for key, v in cur.items() if v}, denominator))
+    return [
+        {QMMonomial(*key): Fraction(v, denominator) for key, v in poly.items()}
+        for poly, denominator in chain
+    ]
 
 
 def _candidate_difference(
@@ -342,26 +356,31 @@ def _candidate_difference(
 
 
 def induction_differences(rows: list[QSeries], order: int) -> tuple[dict, list]:
-    """The paper's induction on rows[1..] = A_1, A_2, ..., each check exact
-    through `order`: (columns of weight <= 8, differences).
+    """The paper's induction on rows[1..k_max] = A_1, ..., A_{k_max}, each
+    check exact through `order`: (columns of weight <= min(2 k_max, 8),
+    differences).
 
     differences[0] is the first difference of Ramanujan's identities
-    D E_w = R_w(E2, E4, E6), w = 2, 4, 6, with R_w read from RAMANUJAN_D;
-    differences[1] that of 24 A_1 = 1 - E2; differences[k], k >= 2, that of
-    the step of `gen_recurrence` from rows[k-1] to rows[k], its numerator
-    against its denominator times rows[k].  Each is None where the check
-    holds, else a `_first_difference` triple.  The steps read only the rows
-    and run before any column is built, so their work does not add to the
-    memory the columns hold.
+    D E_w = R_w(E2, E4, E6), with R_w read from RAMANUJAN_D, for the weights
+    w = 2, 4, 6 with w + 2 <= 2 k_max: the steps up to A_{k_max} take D only
+    of generators of weight <= 2 k_max - 2, so those are the identities the
+    induction uses.  differences[1] is that of 24 A_1 = 1 - E2;
+    differences[k], k >= 2, that of the step of `gen_recurrence` from
+    rows[k-1] to rows[k], its numerator against its denominator times
+    rows[k].  Each is None where the check holds, else a `_first_difference`
+    triple.  The steps read only the rows and run before any column is
+    built, so their work does not add to the memory the columns hold.
     """
     steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, len(rows)))
     differences = [None, None] + [
         _first_difference(numerator.coeffs, denominator, row)
         for (numerator, denominator), row in zip(steps, rows[2:])
     ]
-    columns = monomial_columns(8, order)
+    weight = min(2 * (len(rows) - 1), 8)
+    columns = monomial_columns(weight, order)
     differences[1] = _first_difference((1 - columns[QMMonomial(1, 0, 0)]).coeffs, 24, rows[1])
-    for exps, image in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), RAMANUJAN_D):
+    generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for exps, image in zip(generators[: weight // 2 - 1], RAMANUJAN_D):
         image = {QMMonomial(*e): c for e, c in image.items()}
         derivative = columns[QMMonomial(*exps)].q_derivative()
         differences[0] = differences[0] or _candidate_difference(image, columns, derivative, order)

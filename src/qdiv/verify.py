@@ -303,8 +303,10 @@ def verify_quasimodularity(
     The certificate is the paper's induction, each check exact through
     `order`, with D = q d/dq:
 
-    1. Ramanujan's identities D E_w = R_w(E2, E4, E6) for w = 2, 4, 6, each
-       R_w read from `RAMANUJAN_D`, on the columns of weight <= 8;
+    1. Ramanujan's identities D E_w = R_w(E2, E4, E6), each R_w read from
+       `RAMANUJAN_D`, for the w in 2, 4, 6 with w + 2 <= 2k_max (the steps
+       below take D of no generator heavier), on the columns of weight
+       <= min(2k_max, 8);
     2. the base case A_1 = (1 - E2)/24 against row 1 of the defining sum;
     3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} on the
        rows, for k = 2..k_max, as `gen_recurrence` states it.  With 1 and 2,
@@ -319,12 +321,12 @@ def verify_quasimodularity(
 
     The first failing check is the mismatch, with the candidate's value; a
     failing step reports its numerator over (2k+1) 2k, which is Q_k's value
-    when the rows below k are right.  Only the 11 columns of weight <= 8
-    are built through `order`, and those of weight <= 2k_max only through
-    the largest window.  Records decomposition sizes in the report details,
-    along with an informational probe showing that the odd-part family's C_1
-    does NOT decompose in this basis (expected; its failure does not fail
-    the suite).  Raises ValueError, before any series is built, when the
+    when the rows below k are right.  Only the columns of weight
+    <= min(2k_max, 8), at most 11, are built through `order`, and those of
+    weight <= 2k_max only through the largest window.  Records
+    decomposition sizes in the report details, along with an informational
+    probe showing that the odd-part family's C_1 does NOT decompose in this
+    basis (expected; its failure does not fail the suite).  Raises ValueError, before any series is built, when the
     weight-2k_max basis is too large for `order` or `perturb` names no
     series of this suite.
     """

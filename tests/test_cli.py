@@ -303,6 +303,24 @@ def test_verify_builds_each_row_table_once(capsys, monkeypatch, suite, builds):
     assert len(set(built)) == builds
 
 
+def test_verify_agreement_builds_one_recurrence_chain_per_family(capsys, monkeypatch):
+    # the agreement loop asks for k = 4, 3, 2, 1; the chain to A_4 (C_4) is
+    # built once, in 3 steps, and serves every smaller k
+    steps = []
+    step = macmahon._recurrence_step
+
+    def spy(family, k, seed, prev):
+        steps.append((family.value, k))
+        return step(family, k, seed, prev)
+
+    monkeypatch.setattr(macmahon, "_recurrence_step", spy)
+    monkeypatch.setattr(macmahon, "_CHAINS", {})
+    rc, _, _ = run(capsys, ["verify", "--suite", "agreement", "--k-max", "4",
+                            "--order", "200"])
+    assert rc == EXIT_OK
+    assert steps == [("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4)]
+
+
 def test_verify_builds_each_eta_product_once(capsys):
     # (q;q)_inf and (q^2;q^2)_inf are built once and shared by gen_explicit
     # and the theorem suites; (-q;q)_inf is never built

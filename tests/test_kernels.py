@@ -1,5 +1,5 @@
-"""Kernel properties: conv_trunc against the schoolbook loop, inverse_trunc against
-an index loop."""
+"""Kernel properties: conv_trunc's sparse and Kronecker paths against the schoolbook
+loop, inverse_trunc against an index loop."""
 
 import random
 from fractions import Fraction
@@ -101,6 +101,98 @@ def test_fraction_inputs_take_the_schoolbook_path(monkeypatch):
     calls.clear()
     _kernels_py.conv_trunc([1, -2, 3], [4, 5], 6)
     assert calls == []
+
+
+def sparse_operand(rng, n, nnz, bound, order=None):
+    """n coefficients with exactly nnz nonzero ones through q^order (default:
+    anywhere), signed, up to `bound`."""
+    out = [0] * n
+    for i in rng.sample(range(n if order is None else min(n, order + 1)), nnz):
+        out[i] = rng.choice([-1, 1]) * rng.randint(1, bound)
+    return out
+
+
+def takes_sparse_path(monkeypatch, a, b, order):
+    """Whether conv_trunc(a, b, order) multiplies by shift-and-add, one term
+    of the operand with fewer nonzero terms at a time; the result is checked
+    against the schoolbook loop either way."""
+    taken = []
+    sparse = _kernels_py._conv_sparse
+
+    def spy(*args):
+        shifted, scaled = args[:2]
+        assert len(shifted) - shifted.count(0) <= len(scaled) - scaled.count(0)
+        taken.append(args)
+        return sparse(*args)
+
+    monkeypatch.setattr(_kernels_py, "_conv_sparse", spy)
+    assert_matches_schoolbook(a, b, order)
+    monkeypatch.undo()
+    return bool(taken)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_path_matches_schoolbook(monkeypatch, seed):
+    # signed bigints, sparse x dense in both argument orders, a sparse
+    # operand with one term (the series 1), and operands shorter or longer
+    # than the order: the dense one shorter than the order must not shorten
+    # the output
+    rng = random.Random(9200 + seed)
+    for _ in range(40):
+        order = rng.randint(1, 120)
+        dense = random_coeffs(
+            rng, rng.choice([rng.randint(1, order), order + 1, order + rng.randint(2, 30)]),
+            bound=2 ** rng.choice([8, 64, 300]),
+        )
+        n = rng.randint(1, order + 20)
+        nnz = rng.randint(1, min(3, n, order + 1))
+        sparse = sparse_operand(rng, n, nnz, 2 ** rng.choice([1, 30, 200]), order)
+        for a, b in ((sparse, dense), (dense, sparse)):
+            assert takes_sparse_path(monkeypatch, a, b, order)
+
+
+def test_sparse_path_edge_operands(monkeypatch):
+    # length-one lists, and single terms at or past the end of the other operand
+    cases = [(order, [5], [-3]) for order in (0, 1, 7)] + [
+        (0, [-2], [4, 0, -1, 8] * 3),
+        (5, [-2], [4, 0, -1, 8] * 3),
+        (12, [0, 0, 3], [1, -1] * 6),
+        (12, [0] * 9 + [-7], [2, 3]),
+        (9, [0] * 9 + [-7], [2 ** 90, -3]),
+    ]
+    for order, a, b in cases:
+        assert takes_sparse_path(monkeypatch, a, b, order)
+        assert takes_sparse_path(monkeypatch, b, a, order)
+    # an all-zero operand, or one zero through the order, gives zeros on no path
+    for order, a, b in ((7, [0] * 5, [3, -1, 4]), (7, [0], [2 ** 100] * 9), (1, [0, 0, 3], [1])):
+        assert not takes_sparse_path(monkeypatch, a, b, order)
+        assert not takes_sparse_path(monkeypatch, b, a, order)
+
+
+def kronecker_bytes(a, b):
+    """The slot width conv_trunc packs int lists with."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    return bound.bit_length() // 8 + 1
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sparse_path_switch(monkeypatch, seed):
+    # the sparse path is taken exactly while nnz * len(dense) <= nbytes *
+    # (len(a) + len(b)); counts just below and just above the switch agree
+    # with the schoolbook loop either way
+    rng = random.Random(9300 + seed)
+    for _ in range(6):
+        order = rng.randint(60, 200)
+        dense = random_coeffs(rng, order + 1, bound=2 ** rng.choice([4, 60, 160]))
+        bound = 2 ** rng.choice([1, 20])
+        nbytes = kronecker_bytes([bound] * (order + 1), dense)
+        switch = 2 * nbytes  # both operands have order + 1 terms
+        for nnz in (switch - 1, switch, switch + 1, switch + 2):
+            sparse = sparse_operand(rng, order + 1, nnz - 1, bound - 1)
+            sparse[sparse.index(0)] = bound  # the largest coefficient sets the slot
+            assert kronecker_bytes(sparse, dense) == nbytes
+            for a, b in ((sparse, dense), (dense, sparse)):
+                assert takes_sparse_path(monkeypatch, a, b, order) == (nnz <= switch)
 
 
 def inverse_index_loop(a, order):

@@ -7,6 +7,9 @@ so the oracle/series cross-checks elsewhere rest on two unrelated codepaths.
 
 import itertools
 import random
+import sys
+import threading
+from operator import add
 
 import pytest
 
@@ -24,6 +27,7 @@ from qdiv.macmahon import (
     theta_f,
     theta_g,
 )
+from qdiv import _kernels_py, macmahon
 from qdiv.macmahon import _add_part, _direct_rows, _explicit_prefactor
 from qdiv.series import QSeries, pochhammer_inf
 
@@ -86,6 +90,20 @@ def test_oracle_preconditions():
 # -- gen_direct --------------------------------------------------------------------
 
 
+def test_oracle_memo_keeps_only_states_with_parts():
+    # a verify run's oracle calls, both families, k <= 4, n <= 40: one
+    # memo state per (part step, rem, parts, index); a single part is
+    # counted by divisibility, so the 1240 zero-part states a memo reaching
+    # them would add (2642 in all) are never made
+    macmahon._count.cache_clear()
+    for oracle in (oracle_a, oracle_c):
+        for k in range(4, 0, -1):
+            for n in range(1, 41):
+                oracle(n, k)
+    info = macmahon._count.cache_info()
+    assert (info.currsize, info.maxsize) == (1402, 1 << 17)
+
+
 def test_gen_direct_k1_is_divisor_sum():
     assert gen_direct(Family.A, 1, 6).coeffs == (0, 1, 3, 4, 7, 6, 12)
 
@@ -106,6 +124,55 @@ def test_gen_direct_lambert_route():
         _add_part(row, [1] + [0] * 30, 0, v, 30)
         denom = (QSeries.one(30) - QSeries.monomial(v, 30)) ** 2
         assert QSeries(row, 30) == QSeries.monomial(v, 30) * denom.inverse()
+
+
+def block_sweep_add_part(dst, src, lo, v, order):
+    """dst += q^v * src / (1-q^v)^2, both running sums swept one block of v
+    coefficients at a time: the reference for `_add_part`."""
+    t = src[lo : order + 1 - v]
+    for _ in range(2):
+        for b in range(v, len(t), v):
+            t[b : b + v] = map(add, t[b : b + v], t[b - v : b])
+    dst[lo + v :] = map(add, dst[lo + v :], t)
+
+
+def block_sweep_rows(family, k, order):
+    """Rows 0..k of the defining sum by the block sweep, with no lower bounds."""
+    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
+    for v in reversed(range(1, order + 1, 1 if family is Family.A else 2)):
+        for j in range(k, 0, -1):
+            block_sweep_add_part(rows[j], rows[j - 1], 0, v, order)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_add_part_matches_the_block_sweep(seed):
+    # strides on both sides of v*v <= n, n the length of the shifted slice,
+    # and at the switch itself; signed big coefficients
+    rng = random.Random(4100 + seed)
+    for _ in range(30):
+        order = rng.randint(1, 300)
+        lo = rng.randint(0, order // 2)
+        n0 = order + 1 - lo  # n = n0 - v
+        root = max(1, int((n0 - 1) ** 0.5))
+        v = rng.choice([1, 2, root - 1, root, root + 1, root + 2, rng.randint(1, n0 - 1 or 1)])
+        v = max(1, min(v, order))
+        src = [0] * lo + [rng.randint(-2 ** 70, 2 ** 70) for _ in range(order + 1 - lo)]
+        dst = [rng.randint(-9, 9) for _ in range(order + 1)]
+        expected = list(dst)
+        block_sweep_add_part(expected, src, lo, v, order)
+        _add_part(dst, src, lo, v, order)
+        assert dst == expected
+        assert len(dst) == order + 1
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.C])
+@pytest.mark.parametrize("order", [0, 1, 2, 37, 64, 121, 160])
+def test_direct_rows_match_the_block_sweep(family, order):
+    k = 18
+    expected = block_sweep_rows(family, k, order)
+    rows = _direct_rows(family, k, order)
+    assert [list(row.coeffs) for row in rows] == expected
 
 
 @pytest.mark.parametrize("family,threshold", [
@@ -180,6 +247,81 @@ def test_gen_recurrence_seed_passthrough():
 
 def test_gen_recurrence_c2():
     assert gen_recurrence(Family.C, 2, 4).coeffs == (0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.C])
+@pytest.mark.parametrize("order", [60, 61])
+def test_recurrence_chain_serves_ks_in_any_order(monkeypatch, family, order):
+    # each k from a cold chain, as a fresh process builds it, against the
+    # same k read from one kept chain asked in ascending, descending and
+    # mixed order; k = 9 is past C's last feasible row at order 60
+    cold = {}
+    for k in range(1, 10):
+        monkeypatch.setattr(macmahon, "_CHAINS", {})
+        cold[k] = gen_recurrence(family, k, order)
+        assert cold[k] == gen_direct(family, k, order)
+    for ks in (range(1, 10), range(9, 0, -1), (3, 6, 1, 8, 2, 9, 5, 4, 7, 6)):
+        monkeypatch.setattr(macmahon, "_CHAINS", {})
+        for k in ks:
+            assert gen_recurrence(family, k, order) == cold[k]
+
+
+@pytest.mark.parametrize("order", [200, 800])
+def test_theta_sums_times_prefactor_skip_the_kronecker_packer(monkeypatch, order):
+    for family in (Family.A, Family.C):
+        _explicit_prefactor(family, order)  # built once per order, on any path
+    packed = []
+    pack = _kernels_py._pack
+
+    def spy(coeffs, nbytes):
+        packed.append(len(coeffs))
+        return pack(coeffs, nbytes)
+
+    monkeypatch.setattr(_kernels_py, "_pack", spy)
+    for family in (Family.A, Family.C):
+        for k in range(1, 5):
+            assert gen_explicit(family, k, order) == gen_direct(family, k, order)
+    assert packed == []
+
+
+def test_recurrence_chains_shared_by_threads(monkeypatch):
+    # more threads than cores ask for random k of two chains with a short
+    # switch interval; every answer is the cold one and no chain loses a row
+    expected = {(f, k): gen_direct(f, k, 80) for f in (Family.A, Family.C) for k in range(1, 9)}
+    monkeypatch.setattr(macmahon, "_CHAINS", {})
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            key = rng.choice(list(expected))
+            if gen_recurrence(key[0], key[1], 80) != expected[key]:
+                wrong.append(key)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert all(len(chain) == 8 for _, chain in macmahon._CHAINS.values())
+
+
+def test_recurrence_chain_is_kept_only_for_its_seed(monkeypatch):
+    warm = gen_recurrence(Family.A, 3, 40)
+    bumped = gen_direct(Family.A, 1, 40) + QSeries.monomial(5, 40)
+    monkeypatch.setattr(macmahon, "gen_direct", lambda family, k, order: bumped)
+    expected = bumped
+    for k in (2, 3):
+        numerator, denominator = macmahon._recurrence_step(Family.A, k, bumped, expected)
+        expected = numerator / denominator
+    assert gen_recurrence(Family.A, 3, 40) == expected != warm
 
 
 def test_route_preconditions():

@@ -129,7 +129,9 @@ def test_perturbed_a1_located_exactly():
     [pytest.param(s, 2, 40, id=s) for s in ("theorem-f", "theorem-g", "agreement", "quasimodular")]
     # k_max = 12 lies past the feasible rows at order 20, where both sides of
     # every identity are zero; quasimodular refuses a basis that large
-    + [pytest.param(s, 12, 20, id=f"{s}-past-feasible") for s in ("theorem-f", "theorem-g", "agreement")],
+    + [pytest.param(s, 12, 20, id=f"{s}-past-feasible") for s in ("theorem-f", "theorem-g", "agreement")]
+    # below k_max 4 the induction builds columns of weight 2k_max only
+    + [pytest.param("quasimodular", k, 40, id=f"quasimodular-k{k}") for k in (1, 3)],
 )
 def test_every_perturbable_target_flips_to_fail(suite, k_max, order):
     for target in perturbable_targets(suite, k_max):
@@ -252,11 +254,42 @@ def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
 
 
 def test_quasimodularity_checks_ramanujan_identities(monkeypatch):
-    # D E6 enters no A_k with k <= 2: only the identity check reads it, and
-    # finds the wrong image E2*E6/2 - E4^2/3 at q^0, 1/6 against D E6 = 0
+    # D E6 is first taken in the step to A_4, so k_max 4 checks its identity,
+    # which runs first and finds the wrong image E2*E6/2 - E4^2/3 at q^0,
+    # 1/6 against D E6 = 0
     monkeypatch.setitem(RAMANUJAN_D[2], (0, 2, 0), Fraction(-1, 3))
-    r = verify_quasimodularity(2, 60)
+    r = verify_quasimodularity(4, 60)
     assert r.first_mismatch == Mismatch(None, 0, 0, Fraction(1, 6))
+
+
+@pytest.mark.parametrize("generator, key, value, k_max, rhs", [
+    (0, (0, 1, 0), Fraction(-1, 6), 2, Fraction(-1, 12)),  # E2^2/12 - E4/6
+    (1, (0, 0, 1), Fraction(-1, 2), 3, Fraction(-1, 6)),  # E2*E4/3 - E6/2
+])
+def test_quasimodularity_checks_each_identity_from_its_first_step(
+    monkeypatch, generator, key, value, k_max, rhs
+):
+    # D E_w is first taken in the step to A_{w/2 + 1}: from that k_max on,
+    # the identity check finds a wrong image at q^0, against D E_w = 0
+    monkeypatch.setitem(RAMANUJAN_D[generator], key, value)
+    r = verify_quasimodularity(k_max, 60)
+    assert r.first_mismatch == Mismatch(None, 0, 0, rhs)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_quasimodularity_builds_no_column_above_weight_2k_max(monkeypatch, k_max):
+    weights = []
+    build = quasimodular._monomial_series
+
+    def spy(basis, order):
+        weights.append(max(m.weight for m in basis))
+        return build(basis, order)
+
+    monkeypatch.setattr(quasimodular, "_monomial_series", spy)
+    r = verify_quasimodularity(k_max, 400)
+    assert r.passed
+    assert r.details["C_1_probe"]["status"] == "no-decomposition"
+    assert weights and max(weights) == 2 * k_max
 
 
 def test_quasimodularity_checks_eisenstein_series_through_the_order(monkeypatch):
@@ -283,6 +316,29 @@ def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypa
     assert verify_quasimodularity(12, 400).passed
     # the weight-24 columns only through the largest window, 102 + 4
     assert built == [(11, 400), (102, 106)]
+
+
+def test_replaced_recurrence_step_is_not_hidden_by_a_warm_chain(monkeypatch):
+    assert verify_method_agreement(Family.A, 4, 60).passed  # keeps the A chain
+    step = macmahon._recurrence_step
+
+    def wrong(family, k, seed, prev):
+        numerator, denominator = step(family, k, seed, prev)
+        return numerator, denominator + (k == 3)
+
+    monkeypatch.setattr(macmahon, "_recurrence_step", wrong)
+    assert not verify_method_agreement(Family.A, 4, 60).passed
+    assert not verify_method_agreement(Family.A, 3, 60).passed
+    assert verify_method_agreement(Family.A, 2, 60).passed
+    monkeypatch.undo()  # nor does the chain built with the wrong step outlive it
+    assert verify_method_agreement(Family.A, 3, 60).passed
+
+
+def test_recurrence_perturbation_flips_a_warm_agreement_suite():
+    assert verify_method_agreement(Family.C, 3, 60).passed
+    r = verify_method_agreement(Family.C, 3, 60, perturb=Perturbation("recurrence", 7))
+    assert r.first_mismatch.q_exponent == 7
+    assert verify_method_agreement(Family.C, 3, 60).passed  # the kept chain is untouched
 
 
 def test_recurrence_step_is_shared_by_the_route_and_the_suite(monkeypatch):
