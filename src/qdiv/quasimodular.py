@@ -8,16 +8,11 @@ then the candidate is re-evaluated and checked against every tracked
 coefficient of the target, so "the solver found something" and "the identity
 holds" stay distinguishable.
 
-For A_k no solve is needed.  The quasimodular suite certifies A_k by the
-paper's induction, each check exact through the order: (1) Ramanujan's
-identities for D = q d/dq of those of E2, E4 and E6 that the steps to A_k
-differentiate (`RAMANUJAN_D`); (2) the base case A_1 = (1 - E2)/24; (3) the
-recurrence from A_{k-1} to A_k on the defining sums, so that every A_k
-equals some polynomial of weight <= 2k;
-(4) that polynomial, which `recurrence_polynomials` derives from the same
-recurrence and identities, against A_k on the window `decompose` would
-solve.  `window_ranks` shows, by a rank modulo a prime, that the window has
-full rank, which pins the polynomial and leaves the solve no free column.
+For A_k no solve is needed: `verify.verify_quasimodularity` certifies it by
+the paper's induction, from `induction_differences`,
+`recurrence_polynomials` and `window_ranks`, and its docstring states the
+four steps.  `_solve_top` states the window `decompose` solves, which the
+suite pins and ranks, so the suite's `ambiguous` is what a solve would find.
 
 `fit_divisor_form` probes the related representation a_{n,k} =
 sum_j p_j(n) * sigma_{2j-1}(n) with polynomial weights p_j of bounded degree;
@@ -156,14 +151,15 @@ def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
 
     The parent has one E2 fewer; with no E2, one E4 fewer; otherwise one E6
     fewer.  The constant and the generators E2, E4, E6 are their own series,
-    with no product.  Precondition: every parent is in `basis` and comes
+    with no product, and only the generators no heavier than the heaviest
+    monomial are sieved.  Precondition: every parent is in `basis` and comes
     earlier, as in a full basis in `_monomials` order (weight ascending).
     """
-    e2, e4, e6 = (eisenstein(w, order) for w in (2, 4, 6))
-    built = {
-        QMMonomial(0, 0, 0): QSeries.one(order), QMMonomial(1, 0, 0): e2,
-        QMMonomial(0, 1, 0): e4, QMMonomial(0, 0, 1): e6,
-    }
+    top = max((m.weight for m in basis), default=0)
+    generators = (QMMonomial(1, 0, 0), QMMonomial(0, 1, 0), QMMonomial(0, 0, 1))
+    built = {QMMonomial(0, 0, 0): QSeries.one(order)}
+    built.update((g, eisenstein(g.weight, order)) for g in generators if g.weight <= top)
+    e2, e4, e6 = (built.get(g) for g in generators)
     for m in basis:
         if m in built:
             continue
@@ -177,11 +173,7 @@ def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
 
 
 def monomial_columns(weight_bound: int, order: int) -> dict[QMMonomial, QSeries]:
-    """Series of every monomial of weight <= weight_bound, keyed by monomial.
-
-    The basis of every smaller weight bound is a subset, so decomposing
-    several targets can share one column set through `decompose(columns=...)`.
-    """
+    """Series of every monomial of weight <= weight_bound, keyed by monomial."""
     basis = monomial_basis(weight_bound)
     return dict(zip(basis, _monomial_series(basis, order)))
 
@@ -213,24 +205,23 @@ def _first_difference(combo, denom: int, target: QSeries) -> Optional[tuple]:
     return None
 
 
+def _solve_top(size: int, order: int) -> int:
+    """The last coefficient `decompose` solves for a basis of `size` monomials."""
+    return min(size + 4, order)
+
+
 def decompose(
-    target: QSeries,
-    weight_bound: int,
-    order: int,
-    description: str = "",
-    columns: Optional[dict[QMMonomial, QSeries]] = None,
+    target: QSeries, weight_bound: int, order: int, description: str = ""
 ) -> QMDecomposition:
     """Exactly decompose `target` over the weight-bounded monomial basis.
 
     Refuses, through `check_basis_size`, a basis too large for `order`.
-    Solves coefficients 0..min(basis_size + 4, order), then verifies the
+    Solves coefficients 0.._solve_top(basis_size, order), then verifies the
     candidate against every coefficient through `order`, in integers: with D
     the lcm of the candidate's denominators, D * sum(coeff * column) is
     compared with D * target coefficient by coefficient.  Raises
     NoDecompositionError when either stage fails; an underdetermined solve
-    pins free columns to zero and flags the result as ambiguous.  `columns`,
-    from `monomial_columns` at any weight bound >= this one and exactly this
-    order, saves rebuilding the basis series.
+    pins free columns to zero and flags the result as ambiguous.
     """
     check_basis_size(weight_bound, order)
     basis = monomial_basis(weight_bound)
@@ -238,17 +229,9 @@ def decompose(
         raise ValueError(
             f"target only tracks coefficients to {target.order}, cannot verify to {order}"
         )
-    if columns is None:
-        columns = _monomial_series(basis, order)
-    else:
-        if not columns.keys() >= set(basis):
-            raise ValueError(f"columns do not hold the weight-{weight_bound} basis")
-        columns = [columns[m] for m in basis]
-        if any(col.order < order for col in columns):
-            raise ValueError(f"columns do not track coefficients to {order}")
-    solve_top = min(len(basis) + 4, order)
+    columns = _monomial_series(basis, order)
     solver = IncrementalSolver(len(basis))
-    for n in range(solve_top + 1):
+    for n in range(_solve_top(len(basis), order) + 1):
         row = [col.coefficient(n) for col in columns]
         if not solver.add_equation(row, target.coefficient(n)):
             raise NoDecompositionError(
@@ -355,21 +338,19 @@ def _candidate_difference(
     return _first_difference(*combo, target)
 
 
-def induction_differences(rows: list[QSeries], order: int) -> tuple[dict, list]:
-    """The paper's induction on rows[1..k_max] = A_1, ..., A_{k_max}, each
-    check exact through `order`: (columns of weight <= min(2 k_max, 8),
-    differences).
+def induction_differences(rows: list[QSeries], polys: list[dict], order: int) -> list:
+    """Steps 1-3 of the certificate that `verify.verify_quasimodularity`
+    states, on rows[1..k_max] = A_1, ..., A_{k_max}, each exact through
+    `order`, with `polys` from `recurrence_polynomials(k_max)`.
 
-    differences[0] is the first difference of Ramanujan's identities
-    D E_w = R_w(E2, E4, E6), with R_w read from RAMANUJAN_D, for the weights
-    w = 2, 4, 6 with w + 2 <= 2 k_max: the steps up to A_{k_max} take D only
-    of generators of weight <= 2 k_max - 2, so those are the identities the
-    induction uses.  differences[1] is that of 24 A_1 = 1 - E2;
-    differences[k], k >= 2, that of the step of `gen_recurrence` from
-    rows[k-1] to rows[k], its numerator against its denominator times
-    rows[k].  Each is None where the check holds, else a `_first_difference`
-    triple.  The steps read only the rows and run before any column is
-    built, so their work does not add to the memory the columns hold.
+    differences[0] is the first difference of the Ramanujan identities, on
+    the columns of weight <= min(2 k_max, 8); differences[1] that of polys[1]
+    against rows[1]; differences[k], k >= 2, that of the step of
+    `gen_recurrence` from rows[k-1] to rows[k], its numerator against its
+    denominator times rows[k].  Each is None where the check holds, else a
+    `_first_difference` triple.  The steps read only the rows and run before
+    any column is built, so their work does not add to the memory the
+    columns hold.
     """
     steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, len(rows)))
     differences = [None, None] + [
@@ -378,13 +359,13 @@ def induction_differences(rows: list[QSeries], order: int) -> tuple[dict, list]:
     ]
     weight = min(2 * (len(rows) - 1), 8)
     columns = monomial_columns(weight, order)
-    differences[1] = _first_difference((1 - columns[QMMonomial(1, 0, 0)]).coeffs, 24, rows[1])
+    differences[1] = _candidate_difference(polys[1], columns, rows[1], order)
     generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for exps, image in zip(generators[: weight // 2 - 1], RAMANUJAN_D):
         image = {QMMonomial(*e): c for e, c in image.items()}
         derivative = columns[QMMonomial(*exps)].q_derivative()
         differences[0] = differences[0] or _candidate_difference(image, columns, derivative, order)
-    return columns, differences
+    return differences
 
 
 _RANK_PRIME = 2**31 - 1
@@ -393,7 +374,7 @@ _RANK_PRIME = 2**31 - 1
 def window_ranks(columns: list[QSeries], sizes: list[int], order: int) -> list[int]:
     """Rank modulo a prime of each solve window `decompose` would use.
 
-    The window of basis size m holds coefficients 0..min(m + 4, order) of the
+    The window of basis size m holds coefficients 0.._solve_top(m, order) of the
     first m of `columns` (integer series, in basis order); `sizes` ascend.
     Rank mod p <= rank over Q, so a window of full rank here has exactly no
     free column, as `decompose` would find it.  One elimination serves every
@@ -424,7 +405,7 @@ def window_ranks(columns: list[QSeries], sizes: list[int], order: int) -> list[i
     ranks = []
     n = 0
     for m in sizes:
-        while n <= min(m + 4, order):
+        while n <= _solve_top(m, order):
             row = pack([col.coeffs[n] % p for col in columns])
             for pc, neg in zip(pivots, stored):
                 v = (row >> 8 * slot * pc & mask) % p

@@ -59,8 +59,12 @@ class QSeries:
 
     @classmethod
     def _wrap(cls, coeffs: list) -> "QSeries":
+        # a list of exact ints, as the kernels return, is canonical already
         s = cls.__new__(cls)
-        s._coeffs = tuple(_canon(c) for c in coeffs)
+        if set(map(type, coeffs)) <= {int}:
+            s._coeffs = tuple(coeffs)
+        else:
+            s._coeffs = tuple(_canon(c) for c in coeffs)
         return s
 
     @classmethod

@@ -1,10 +1,14 @@
 """Executable identity checks with structured pass/fail reports.
 
-Each suite rebuilds both sides of an identity from scratch through a stated
-truncation order and reports either a clean pass or the exact location of
-the first mismatching coefficient (x-degree where applicable, q-exponent,
-and the two exact rational values).  Passing at order N is coefficientwise
-evidence through q^N, not a proof.
+Each suite builds both sides of an identity through a stated truncation
+order and reports either a clean pass or the exact location of the first
+mismatching coefficient (x-degree where applicable, q-exponent, and the two
+exact rational values).  Passing at order N is coefficientwise evidence
+through q^N, not a proof.  Suites in one process share what does not depend
+on the suite: the row tables of `gen_direct`, the recurrence chains of
+`gen_recurrence` and the eta products of `pochhammer_inf`.  A perturbation
+is applied to a copy and never reaches a shared value
+(`test_perturbation_does_not_leak_into_shared_rows`).
 
 Every suite takes an optional `Perturbation` naming one of its intermediate
 series; the named series gets a single coefficient bumped before use.  This
@@ -26,8 +30,8 @@ from .macmahon import (
     oracle_a, oracle_c, theta_f, theta_g,
 )
 from .quasimodular import (
-    NoDecompositionError, _candidate_difference, check_basis_size, decompose,
-    induction_differences, monomial_basis, monomial_columns,
+    NoDecompositionError, _candidate_difference, _solve_top, check_basis_size,
+    decompose, induction_differences, monomial_basis, monomial_columns,
     recurrence_polynomials, window_ranks,
 )
 from .series import QSeries, pochhammer_inf
@@ -307,14 +311,15 @@ def verify_quasimodularity(
        `RAMANUJAN_D`, for the w in 2, 4, 6 with w + 2 <= 2k_max (the steps
        below take D of no generator heavier), on the columns of weight
        <= min(2k_max, 8);
-    2. the base case A_1 = (1 - E2)/24 against row 1 of the defining sum;
+    2. the base case: A_1 of `recurrence_polynomials(k_max)`, the paper's
+       (1 - E2)/24, against row 1 of the defining sum;
     3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} on the
        rows, for k = 2..k_max, as `gen_recurrence` states it.  With 1 and 2,
        induction makes each A_k equal some Q_k in Q[E2, E4, E6] of weight
        <= 2k through q^order;
     4. `recurrence_polynomials(k_max)[k]` against row k on the window that
-       `decompose` would solve, coefficients 0..min(m_k + 4, order) with m_k
-       the weight-2k basis size.  A window of full rank modulo a prime
+       `decompose` would solve, coefficients 0.._solve_top(m_k, order) with
+       m_k the weight-2k basis size.  A window of full rank modulo a prime
        (`window_ranks`) has full rank over Q, so it pins that polynomial to
        Q_k, with no free column: `ambiguous` is false.  A window short of
        that rank goes to `decompose`, whose details are then reported.
@@ -326,9 +331,10 @@ def verify_quasimodularity(
     weight <= 2k_max only through the largest window.  Records
     decomposition sizes in the report details, along with an informational
     probe showing that the odd-part family's C_1 does NOT decompose in this
-    basis (expected; its failure does not fail the suite).  Raises ValueError, before any series is built, when the
-    weight-2k_max basis is too large for `order` or `perturb` names no
-    series of this suite.
+    basis (expected; its failure does not fail the suite); the probe's
+    `decompose` builds its own two columns, 1 and E2.  Raises ValueError,
+    before any series is built, when the weight-2k_max basis is too large
+    for `order` or `perturb` names no series of this suite.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -339,10 +345,10 @@ def verify_quasimodularity(
     # the basis-size check leaves every A_k with k <= k_max feasible
     rows = _direct_table(Family.A, k_max, order)
     rows = [_tap(row, f"A_{k}", perturb) for k, row in enumerate(rows[: k_max + 1])]
-    columns, differences = induction_differences(rows, order)
     polys = recurrence_polynomials(k_max)
+    differences = induction_differences(rows, polys, order)
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
-    windows = [min(m + 4, order) for m in sizes]
+    windows = [_solve_top(m, order) for m in sizes]
     window_columns = monomial_columns(2 * k_max, windows[-1])
     ranks = window_ranks(list(window_columns.values()), sizes, order)
     mismatch = None
@@ -366,10 +372,7 @@ def verify_quasimodularity(
         details[f"A_{k}"] = {"weight_bound": 2 * k, "terms": terms, "ambiguous": ambiguous}
     if mismatch is None:
         try:
-            decompose(
-                _direct_table(Family.C, 1, order)[1], 2, order,
-                description="C_1", columns=columns,
-            )
+            decompose(_direct_table(Family.C, 1, order)[1], 2, order, description="C_1")
             details["C_1_probe"] = {"status": "decomposed-unexpectedly"}
         except NoDecompositionError as e:
             details["C_1_probe"] = {

@@ -33,6 +33,32 @@ def run_fresh(argv, timeout):
     )
 
 
+def test_import_loads_only_the_standard_library():
+    # the snapshot is taken after start-up, so modules that `site` loads
+    # from third-party .pth files are not counted against the package
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qdiv, qdiv.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    ).stdout.split()
+    assert "qdiv.cli" in out
+    outside = [
+        name for name in out
+        if name != "qdiv" and not name.startswith("qdiv.")
+        and name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+
+
 # -- coeffs -----------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdiv import series
+from qdiv import quasimodular, series
 from qdiv.linalg import IncrementalSolver
 from qdiv.macmahon import Family, gen_direct, oracle_a
 from qdiv.quasimodular import (
@@ -127,26 +127,18 @@ def test_monomial_columns_cost_one_product_each(monkeypatch):
         return conv(a, b, order)
 
     monkeypatch.setattr(series.kernels, "conv_trunc", spy)
-    columns = monomial_columns(12, 60)
+    monomial_columns(12, 60)
     # the constant and the generators E2, E4, E6 cost no product
     assert len(calls) == len(monomial_basis(12)) - 4 == 19
     monkeypatch.undo()
-    # QSeries powers build each monomial independently of the parent rule
+    # QSeries powers build each monomial independently of the parent rule,
+    # also for the bases that hold fewer than all three generators
     e2, e4, e6 = (eisenstein(w, 60) for w in (2, 4, 6))
-    assert list(columns) == monomial_basis(12)
-    for m, col in columns.items():
-        assert col == e2**m.a * e4**m.b * e6**m.c, m
-
-
-def test_decompose_with_shared_columns_matches_own_columns():
-    # a column set built once at a higher weight serves every smaller basis
-    columns = monomial_columns(6, 60)
-    assert list(columns) == monomial_basis(6)
-    for k in (1, 2, 3):
-        target = gen_direct(Family.A, k, 60)
-        assert decompose(target, 2 * k, 60, columns=columns) == decompose(
-            target, 2 * k, 60
-        )
+    for weight in (0, 2, 4, 12):
+        columns = monomial_columns(weight, 60)
+        assert list(columns) == monomial_basis(weight)
+        for m, col in columns.items():
+            assert col == e2**m.a * e4**m.b * e6**m.c, (weight, m)
 
 
 def test_derivative_closure():
@@ -196,15 +188,6 @@ def test_decompose_verify_stage_non_integral_candidate(exponent):
     assert err.rhs == Fraction(240 * divisor_sigma(exponent, 3), 7)
     assert type(err.rhs) is (int if exponent == 60 else Fraction)
     assert err.lhs == err.rhs + 1
-
-
-def test_decompose_refuses_columns_of_lower_order():
-    target = gen_direct(Family.A, 1, 60)
-    with pytest.raises(ValueError):
-        decompose(target, 2, 60, columns=monomial_columns(2, 40))
-    # columns of a lower weight bound lack monomials of the basis
-    with pytest.raises(ValueError, match="weight-4"):
-        decompose(gen_direct(Family.A, 2, 60), 4, 60, columns=monomial_columns(2, 60))
 
 
 def test_decompose_preconditions():
@@ -269,9 +252,9 @@ def test_recurrence_polynomials_match_the_solve():
         assert all(m.weight <= 2 * k for m in polys[k])
 
 
-def solve_window_rank(columns, m, order):
+def solve_window_rank(columns, m, top):
     solver = IncrementalSolver(m)
-    for n in range(min(m + 4, order) + 1):
+    for n in range(top + 1):
         solver.add_equation([col.coefficient(n) for col in columns[:m]], 0)
     return solver.rank
 
@@ -281,8 +264,31 @@ def test_window_ranks_match_the_exact_rank(weight, order):
     columns = list(monomial_columns(weight, order).values())
     sizes = [len(monomial_basis(w)) for w in range(0, weight + 1, 2)]
     assert window_ranks(columns, sizes, order) == [
-        solve_window_rank(columns, m, order) for m in sizes
+        solve_window_rank(columns, m, min(m + 4, order)) for m in sizes
     ]
+
+
+def test_decompose_and_window_ranks_read_one_solve_window(monkeypatch):
+    # a window of half the basis: the solve takes that many equations and
+    # is left with free columns, and the ranks are those of the same window
+    monkeypatch.setattr(quasimodular, "_solve_top", lambda size, order: size // 2)
+    calls = []
+    add_equation = IncrementalSolver.add_equation
+
+    def spy(self, coeffs, rhs):
+        calls.append(len(coeffs))
+        return add_equation(self, coeffs, rhs)
+
+    monkeypatch.setattr(IncrementalSolver, "add_equation", spy)
+    dec = decompose(gen_direct(Family.A, 1, 60), 4, 60)
+    assert calls == [4] * 3
+    assert dec.ambiguous
+    assert dec.terms == recurrence_polynomials(1)[1]
+    columns = list(monomial_columns(8, 60).values())
+    sizes = [len(monomial_basis(w)) for w in (2, 4, 6, 8)]
+    expected = [solve_window_rank(columns, m, m // 2) for m in sizes]
+    assert expected == [2, 3, 4, 6]
+    assert window_ranks(columns, sizes, 60) == expected
 
 
 def test_window_ranks_short_of_the_rational_rank():
@@ -290,7 +296,7 @@ def test_window_ranks_short_of_the_rational_rank():
     # and a repeated column is dependent over both
     one, q = QSeries.one(10), QSeries.monomial(1, 10, 2**31 - 1)
     assert window_ranks([one, q], [1, 2], 10) == [1, 1]
-    assert solve_window_rank([one, q], 2, 10) == 2
+    assert solve_window_rank([one, q], 2, 6) == 2
     e4 = eisenstein(4, 10)
     assert window_ranks([e4, e4, one], [1, 2, 3], 10) == [1, 1, 2]
 

@@ -8,6 +8,7 @@ import pytest
 from qdiv.series import (
     NonInvertibleSeriesError,
     QSeries,
+    _canon,
     divisor_sigma,
     eisenstein,
     pochhammer_inf,
@@ -260,6 +261,32 @@ def test_coefficients_canonical():
     s = QSeries([Fraction(2, 2), Fraction(1, 3)], 1)
     assert isinstance(s.coefficient(0), int)
     assert s.coefficient(1) == Fraction(1, 3)
+
+
+def test_wrap_matches_canon_element_by_element():
+    # lists of exact ints are kept as they are, anything else is normalised
+    # one coefficient at a time, as `_canon` does
+    class Int(int):
+        pass
+
+    rng = random.Random(17)
+    makers = [
+        lambda: rng.randint(-10**30, 10**30),
+        lambda: rng.choice([True, False]),
+        lambda: Int(rng.randint(-9, 9)),
+        lambda: Fraction(rng.randint(-9, 9) * 3, 3),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    ]
+    for _ in range(200):
+        kinds = rng.sample(makers, rng.randint(1, len(makers)))
+        coeffs = [rng.choice(kinds)() for _ in range(rng.randint(0, 12))]
+        wrapped = QSeries._wrap(list(coeffs)).coeffs
+        expected = tuple(_canon(c) for c in coeffs)
+        assert wrapped == expected
+        assert [type(c) for c in wrapped] == [type(c) for c in expected]
+    for bad in ([1.0], [1, 2, 0.5], [Fraction(1, 2), 1.5]):
+        with pytest.raises(TypeError):
+            QSeries._wrap(bad)
 
 
 def test_equality_is_coefficientwise():

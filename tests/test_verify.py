@@ -194,9 +194,9 @@ def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
         found[2] -= 1  # A_3's window
         return found
 
-    def spy(target, weight_bound, order, description="", columns=None):
+    def spy(target, weight_bound, order, description=""):
         solved.append(description)
-        return decompose(target, weight_bound, order, description, columns)
+        return decompose(target, weight_bound, order, description)
 
     monkeypatch.setattr(verify, "window_ranks", short)
     monkeypatch.setattr(verify, "decompose", spy)
@@ -314,8 +314,30 @@ def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypa
 
     monkeypatch.setattr(quasimodular, "_monomial_series", spy)
     assert verify_quasimodularity(12, 400).passed
-    # the weight-24 columns only through the largest window, 102 + 4
-    assert built == [(11, 400), (102, 106)]
+    # the weight-24 columns only through the largest window, 102 + 4, and
+    # the C_1 probe's own two columns
+    assert built == [(11, 400), (102, 106), (2, 400)]
+
+
+@pytest.mark.parametrize("run, weights", [
+    (lambda: verify_quasimodularity(1, 200), [2]),
+    (lambda: verify_quasimodularity(2, 200), [2, 4]),
+    (lambda: quasimodular.decompose(gen_direct(Family.C, 1, 60), 2, 60), [2]),
+], ids=["suite-k1", "suite-k2", "decompose-c1"])
+def test_columns_sieve_only_the_generators_of_their_basis(monkeypatch, run, weights):
+    sieved = []
+    eisenstein = quasimodular.eisenstein
+
+    def spy(weight, order):
+        sieved.append(weight)
+        return eisenstein(weight, order)
+
+    monkeypatch.setattr(quasimodular, "eisenstein", spy)
+    try:
+        run()
+    except quasimodular.NoDecompositionError:
+        pass  # C_1 has no decomposition at level 1
+    assert sorted(set(sieved)) == weights
 
 
 def test_replaced_recurrence_step_is_not_hidden_by_a_warm_chain(monkeypatch):
