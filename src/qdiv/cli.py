@@ -79,9 +79,14 @@ def _check_basis_size(weight_bound: int, order: int) -> None:
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
+    """Write text to --output, or to stdout without one; a path that cannot
+    be written is a usage error."""
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --output {output_path}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 

@@ -115,6 +115,21 @@ def test_coeffs_output_file(tmp_path, capsys):
     assert path.read_text().splitlines() == ["1,1", "2,3", "3,4"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--family", "A", "--k", "1", "--order", "3"],
+    ["decompose", "--k", "1", "--order", "20"],
+    ["decompose", "--k", "1", "--weight-bound", "0", "--order", "20"],  # exit 3 path
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, [*argv, "--output", str(path)])
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.parent.exists()
+
+
 def test_coeffs_oracle_cap(capsys):
     rc, _, err = run(capsys, ["coeffs", "--family", "A", "--k", "1", "--order", "61",
                               "--method", "oracle"])

@@ -27,8 +27,9 @@ from qdiv.macmahon import (
     theta_f,
     theta_g,
 )
-from qdiv import _kernels_py, macmahon
-from qdiv.macmahon import _add_part, _direct_rows, _explicit_prefactor
+from qdiv import _kernels_py, _newton, macmahon
+from qdiv._newton import _pack, _power_sum, _signed_sum
+from qdiv.macmahon import _add_part, _direct_rows, _dp_rows, _explicit_prefactor
 from qdiv.series import QSeries, pochhammer_inf
 
 
@@ -173,6 +174,114 @@ def test_direct_rows_match_the_block_sweep(family, order):
     expected = block_sweep_rows(family, k, order)
     rows = _direct_rows(family, k, order)
     assert [list(row.coeffs) for row in rows] == expected
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.C])
+@pytest.mark.parametrize("order", [0, 1, 2, 37, 64, 121, 160])
+def test_newton_rows_match_the_block_sweep(family, order):
+    # k = 18 keeps these orders on the DP in `_direct_rows`
+    k = 18
+    expected = block_sweep_rows(family, k, order)
+    assert _newton.rows(family.step, k, order) == expected
+
+
+def newton_side(family, k):
+    """Least order at which `_direct_rows` takes the Newton builder for k >= 2."""
+    return family.step * 3 * k**3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_builders_agree_with_each_other_and_the_oracle(seed):
+    rng = random.Random(7300 + seed)
+    cases = [  # orders 0 and 1, k 0 and 1, k past the last feasible row
+        (rng.choice([Family.A, Family.C]), rng.randint(0, 5), rng.choice([0, 1])),
+        (rng.choice([Family.A, Family.C]), rng.choice([0, 1]), rng.randint(2, 120)),
+        (Family.A, 7, rng.randint(2, 27)),  # 7*8/2 = 28
+        (Family.C, 6, rng.randint(2, 35)),  # 6^2 = 36
+    ]
+    for _ in range(8):  # both sides of the size rule
+        family, k = rng.choice([Family.A, Family.C]), rng.randint(2, 4)
+        cases.append((family, k, newton_side(family, k) + rng.randint(-20, 20)))
+    for family, k, order in cases:
+        oracle = oracle_a if family is Family.A else oracle_c
+        rows = _dp_rows(family, k, order)
+        assert _newton.rows(family.step, k, order) == [list(row.coeffs) for row in rows]
+        assert _direct_rows(family, k, order) == rows
+        assert len(rows) == k + 1
+        assert rows[0] == QSeries.one(order)
+        for j in range(1, k + 1):
+            assert rows[j].order == order
+            assert rows[j].coefficient(0) == 0
+            for n in range(1, min(order, 30) + 1):
+                assert rows[j].coefficient(n) == oracle(n, j)
+
+
+def test_direct_rows_dispatch_by_the_size_rule(monkeypatch):
+    built = []
+    for module, name in ((macmahon, "_dp_rows"), (_newton, "rows")):
+        def spy(*args, name=name, build=getattr(module, name)):
+            built.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    cases = {
+        (Family.A, 4, 192): "rows",
+        (Family.A, 4, 191): "_dp_rows",
+        (Family.C, 4, 384): "rows",
+        (Family.C, 4, 383): "_dp_rows",
+        (Family.A, 2, 2000): "rows",
+        (Family.A, 1, 2000): "_dp_rows",
+        (Family.C, 0, 2000): "_dp_rows",
+        (Family.A, 12, 400): "_dp_rows",  # the quasimodular suite's table
+        (Family.A, 18, 600): "_dp_rows",
+    }
+    for (family, k, order), name in cases.items():
+        del built[:]
+        rows = _direct_rows(family, k, order)
+        assert built == [name]
+        assert len(rows) == k + 1 and all(type(row) is QSeries for row in rows)
+
+
+def test_row_builders_use_no_series_kernel(monkeypatch):
+    # gen_explicit and gen_recurrence multiply through these kernels; the
+    # defining sum must not, on either side of the size rule
+    def refuse(*args):
+        raise AssertionError("row builder called a series kernel")
+
+    for name in ("conv_trunc", "conv_schoolbook", "inverse_trunc"):
+        monkeypatch.setattr(_kernels_py, name, refuse)
+    assert _direct_rows(Family.A, 4, 200)[4].coefficient(10) == oracle_a(10, 4)
+    assert _direct_rows(Family.C, 4, 200)[4].coefficient(16) == oracle_c(16, 4)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_signed_sum_slots_hold_every_coefficient(seed):
+    # a coefficient of the sum can exceed every operand's width and every
+    # product of two maxima: with all operands 255 it is 255^2 * (s + 1)
+    rng = random.Random(7400 + seed)
+    n = rng.randint(300, 1200)
+    big = [[rng.randint(100, 255) for _ in range(n)] for _ in range(2)]
+    small = [[rng.randint(0, 40) for _ in range(rng.randint(1, n))] for _ in range(2)]
+    for pairs in ([[255] * n] * 2,), (big,), (big, small):
+        expected = [0] * n
+        for i, (e, p) in enumerate(pairs):
+            product = _kernels_py.conv_schoolbook(e, p, n - 1)
+            expected = [x - y if i & 1 else x + y for x, y in zip(expected, product)]
+        total, width = _signed_sum([(_pack(e), _pack(p)) for e, p in pairs], n)
+        digits = total.to_bytes(width * n, "little")
+        got = [int.from_bytes(digits[i : i + width], "little") for i in range(0, width * n, width)]
+        assert got == expected
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.C])
+def test_power_sums_match_the_series_powers(family):
+    order = 60
+    for i in range(1, 5):
+        expected = QSeries.zero(order)
+        for v in range(1, order + 1, family.step):
+            q_v = QSeries.monomial(v, order)
+            expected = expected + (q_v * ((1 - q_v) ** 2).inverse()) ** i
+        assert _power_sum(family.step, i, order) == list(expected.coeffs)
 
 
 @pytest.mark.parametrize("family,threshold", [

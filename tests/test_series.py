@@ -48,6 +48,16 @@ def test_mul_even_odd_product_split():
     assert lhs == pochhammer_inf(1, 2, 2, 20)
 
 
+@pytest.mark.parametrize("order", [0, 1, 7])
+def test_construction_keeps_order_plus_one_coefficients(order):
+    # one coefficient too many is dropped, as are more; too few are padded
+    for extra in (2, 1, 0, -1):
+        data = list(range(1, max(order + extra, 0) + 1))
+        s = QSeries(data, order)
+        assert s.order == order
+        assert s.coeffs == tuple((data + [0] * (order + 1))[: order + 1])
+
+
 def test_mul_takes_min_order():
     a = QSeries([1, 1, 1], 10)
     b = QSeries([1, 2], 5)

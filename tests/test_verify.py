@@ -54,6 +54,23 @@ def test_agreement_passes(family, k):
     assert r.parameters == {"family": family.value, "k": k, "order": 60}
 
 
+@pytest.mark.parametrize("family, oracle", [(Family.A, "oracle_a"), (Family.C, "oracle_c")])
+@pytest.mark.parametrize("order", [3, 40, 41, 90])
+def test_agreement_checks_the_oracle_through_n_40(monkeypatch, family, oracle, order):
+    # the oracle prefix is the suite's one check against ground truth: it
+    # covers every n from 1 to min(order, 40), for the k of the report
+    calls = []
+    original = getattr(verify, oracle)
+
+    def spy(n, k):
+        calls.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(verify, oracle, spy)
+    assert verify_method_agreement(family, 2, order).passed
+    assert calls == [(n, 2) for n in range(1, min(order, 40) + 1)]
+
+
 def test_quasimodularity_passes_with_details():
     r = verify_quasimodularity(2, 60)
     assert r.passed
