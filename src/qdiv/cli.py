@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c
 from .quasimodular import NoDecompositionError, check_basis_size, decompose
-from .series import QSeries
+from .series import QSeries, run_scope
 from .verify import (
     VerificationReport,
     verify_method_agreement,
@@ -291,7 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
         return int(e.code or 0)
     try:
-        return args.handler(args)
+        with run_scope():  # one memo per command: nothing outlives it
+            return args.handler(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

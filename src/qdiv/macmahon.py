@@ -35,12 +35,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import threading
 from itertools import accumulate
 from operator import add, truediv
 from typing import Literal, Sequence
 
-from .series import QSeries, pochhammer_inf
+from .series import QSeries, memo, pochhammer_inf
 
 
 class Family(enum.Enum):
@@ -76,7 +75,10 @@ def _count(step: int, rem: int, j: int, m_prev: int) -> int:
     by subtracting it.  Depends on neither the target n nor k, so one cache
     serves every oracle call of a family; it is bounded because
     `--allow-slow` tables may reach states far beyond the few thousand of a
-    verify run.
+    verify run.  Unlike the series memos it lives for the process and not
+    in a run scope: it holds only ints, its key holds neither the order nor
+    k, and a scope's dict would have to be threaded through the recursion
+    for no measured gain.
     """
     v = step * m_prev + 1  # the part of index m_prev + 1
     if j == 1:
@@ -196,14 +198,9 @@ def _dp_rows(family: Family, k: int, order: int) -> tuple:
     return tuple(QSeries._wrap(row) for row in rows)
 
 
-_TABLES: dict = {}
-_CHAINS: dict = {}  # gen_recurrence's chains of rows 1..k
-_TABLES_KEPT = 8
-_TABLES_LOCK = threading.Lock()
-
-
 def _direct_table(family: Family, k: int, order: int) -> tuple:
-    """Shared immutable rows of the defining sum for (family, order).
+    """Immutable rows of the defining sum for (family, order), shared within
+    one run scope.
 
     Holds at least rows 0..k, capped at the last feasible row: the one place
     that decides which rows can be nonzero.  A request for more rows than the
@@ -212,31 +209,22 @@ def _direct_table(family: Family, k: int, order: int) -> tuple:
     suites read all their rows in one call (slicing off any an earlier,
     larger caller left), theorem-f's half-order rows come from the agreement
     suite's table, and the per-k agreement loop asks for its largest k
-    first.  The few most recently used (family, order) tables are kept.
+    first.
     """
-    key = (family, order)
+    held = memo()
     want = min(k, _feasible_rows(family, order))
-    with _TABLES_LOCK:
-        rows = _TABLES.pop(key, None)
-        if rows is None or len(rows) <= want:
-            larger = [
-                held for (f, o), held in _TABLES.items()
-                if f is family and o > order and len(held) > want
-            ]
-            rows = (
-                tuple(row.truncate(order) for row in larger[-1][: want + 1])
-                if larger else _direct_rows(family, want, order)
-            )
-        _keep(_TABLES, key, rows)
+    rows = held.get(("rows", family, order))
+    if rows is None or len(rows) <= want:
+        larger = [
+            table for key, table in held.items()
+            if key[:2] == ("rows", family) and key[2] > order and len(table) > want
+        ]
+        rows = (
+            tuple(row.truncate(order) for row in larger[-1][: want + 1])
+            if larger else _direct_rows(family, want, order)
+        )
+        held["rows", family, order] = rows
     return rows
-
-
-def _keep(store: dict, key, value) -> None:
-    """store[key] = value as the most recently used entry; entries past the
-    `_TABLES_KEPT` most recently used are dropped."""
-    store[key] = value
-    while len(store) > _TABLES_KEPT:
-        del store[next(iter(store))]
 
 
 def gen_direct(family: Family, k: int, order: int) -> QSeries:
@@ -280,17 +268,22 @@ def gen_explicit(family: Family, k: int, order: int) -> QSeries:
     return QSeries(data, order) * _explicit_prefactor(family, order)
 
 
-@functools.lru_cache(maxsize=8)
 def _explicit_prefactor(family: Family, order: int) -> QSeries:
-    """The k-independent eta-type factor of `gen_explicit`, built once per (family, order).
+    """The k-independent eta-type factor of `gen_explicit`, built once per
+    (family, order) within one run scope.
 
     (q;q)_inf^-3 for A, (-q;q)_inf/(q;q)_inf for C.  Only `gen_explicit`
     reads it, so the other routes share nothing with it.  C's factor is
     built as (q^2;q^2)_inf/(q;q)_inf^2, as 1 + q^e = (1 - q^2e)/(1 - q^e).
     """
-    if family is Family.A:
-        return (pochhammer_inf(1, 1, 1, order) ** 3).inverse()
-    return pochhammer_inf(1, 2, 2, order) * pochhammer_inf(1, 1, 1, order).inverse() ** 2
+    held, key = memo(), ("prefactor", family, order)
+    if key not in held:
+        pq = pochhammer_inf(1, 1, 1, order)
+        if family is Family.A:
+            held[key] = (pq**3).inverse()
+        else:
+            held[key] = pochhammer_inf(1, 2, 2, order) * pq.inverse() ** 2
+    return held[key]
 
 
 def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
@@ -304,26 +297,18 @@ def gen_recurrence(family: Family, k: int, order: int) -> QSeries:
     fixed point of the recurrence, so past the last feasible row the answer
     is the zero series at once; within it no A_j (C_j) vanishes.
 
-    The chain of rows 1..k of each (family, order) is built once and
-    extended when a larger k is asked for; the few most recently used chains
-    are kept, as the row tables are.  A kept chain serves only the seed row
-    and the step rule `_recurrence_step` it was built from: a different seed
-    or a replaced step starts a new chain.
+    The chain of rows 1..k of each (family, order) is built once within one
+    run scope, from that scope's row 1, and extended when a larger k is
+    asked for.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > _feasible_rows(family, order):
         return QSeries.zero(order)
     seed = gen_direct(family, 1, order)
-    step = _recurrence_step
-    key = (family, order)
-    with _TABLES_LOCK:
-        held_step, chain = _CHAINS.pop(key, (None, None))
-        if held_step is not step or chain[0] != seed:
-            chain = [seed]
-        while len(chain) < k:
-            chain.append(truediv(*step(family, len(chain) + 1, seed, chain[-1])))
-        _keep(_CHAINS, key, (step, chain))
+    chain = memo().setdefault(("chain", family, order), [seed])
+    while len(chain) < k:
+        chain.append(truediv(*_recurrence_step(family, len(chain) + 1, seed, chain[-1])))
     return chain[k - 1]
 
 

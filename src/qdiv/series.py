@@ -13,7 +13,8 @@ across threads; all operations are pure.
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import contextvars
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -248,18 +249,37 @@ class QSeries:
         return cls(coeffs, order=int(obj["order"]))
 
 
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("qdiv_memo")
+
+
+@contextlib.contextmanager
+def run_scope():
+    """Share the row tables, recurrence chains and eta products built inside
+    through one memo, which it yields.  A scope opened inside another uses
+    the outer one's memo; a thread that starts with an empty context (the
+    default with the GIL) does not see its starter's scope."""
+    token = _MEMO.set(memo())
+    try:
+        yield _MEMO.get()
+    finally:
+        _MEMO.reset(token)
+
+
+def memo() -> dict:
+    """The current run scope's memo; outside every scope, a fresh dict."""
+    return _MEMO.get({})
+
+
 # -- classical building blocks ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8, typed=True)
 def pochhammer_inf(c: Rational, offset: int, step: int, order: int) -> QSeries:
     """Truncated infinite product of factors (1 - c*q^(offset + k*step)), k >= 0.
 
     Instances: (q;q)_inf = pochhammer_inf(1,1,1,N); (q^2;q^2)_inf = (1,2,2,N);
     (-q;q)_inf = (-1,1,1,N); (q;q^2)_inf = (1,1,2,N).  Factors whose exponent
-    exceeds `order` only touch discarded coefficients and are skipped.  The
-    eight most recently used products are kept, so each is built once per
-    order.
+    exceeds `order` only touch discarded coefficients and are skipped.  Each
+    product is built once per order within one run scope.
     """
     if offset < 1:
         raise ValueError("offset must be >= 1 (constant factors are disallowed)")
@@ -268,6 +288,9 @@ def pochhammer_inf(c: Rational, offset: int, step: int, order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     c = _canon(c)
+    held, key = memo(), ("pochhammer", c, offset, step, order)
+    if key in held:
+        return held[key]
     data: list = [0] * (order + 1)
     data[0] = 1
     e = offset
@@ -278,7 +301,8 @@ def pochhammer_inf(c: Rational, offset: int, step: int, order: int) -> QSeries:
             if v:
                 data[i + e] -= c * v
         e += step
-    return QSeries._wrap(data)
+    held[key] = QSeries._wrap(data)
+    return held[key]
 
 
 def divisor_sigma(n: int, k: int) -> int:

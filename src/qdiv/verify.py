@@ -4,9 +4,9 @@ Each suite builds both sides of an identity through a stated truncation
 order and reports either a clean pass or the exact location of the first
 mismatching coefficient (x-degree where applicable, q-exponent, and the two
 exact rational values).  Passing at order N is coefficientwise evidence
-through q^N, not a proof.  Suites in one process share what does not depend
-on the suite: the row tables of `gen_direct`, the recurrence chains of
-`gen_recurrence` and the eta products of `pochhammer_inf`.  A perturbation
+through q^N, not a proof.  Suites within one run scope share what does not
+depend on the suite: the row tables of `gen_direct`, the recurrence chains
+of `gen_recurrence` and the eta products of `pochhammer_inf`.  A perturbation
 is applied to a copy and never reaches a shared value
 (`test_perturbation_does_not_leak_into_shared_rows`).
 
@@ -269,8 +269,8 @@ def verify_theorem_g(
 
     Also asserts that every odd x-degree entry of G vanishes.  k_max = 0 is
     the seed identity 1 + 2 sum (-1)^n q^(n^2) = (q;q)_inf/(-q;q)_inf.  The
-    prefactor is built as (q;q)_inf^2/(q^2;q^2)_inf, from the cached
-    products, since 1 + q^e = (1 - q^2e)/(1 - q^e).
+    prefactor is built as (q;q)_inf^2/(q^2;q^2)_inf, from the products
+    shared within one run scope, since 1 + q^e = (1 - q^2e)/(1 - q^e).
     """
     return _verify_theorem(0, k_max, order, perturb)
 

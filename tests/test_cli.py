@@ -12,6 +12,7 @@ import pytest
 import qdiv
 from qdiv import macmahon
 from qdiv.cli import EXIT_INTERNAL, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
+from qdiv.series import run_scope
 from qdiv.verify import Mismatch, VerificationReport
 
 
@@ -325,9 +326,10 @@ def test_verify_quasimodular_order_check(capsys):
 
 @pytest.mark.parametrize("suite, builds", [("all", 2), ("quasimodular", 2)])
 def test_verify_builds_each_row_table_once(capsys, monkeypatch, suite, builds):
-    # every caller asks for its largest k first, so no (family, order) row
-    # table is rebuilt when a later caller asks for more rows: suite all
-    # builds A and C at the order, and theorem-f truncates A to half of it
+    # within the command's run scope every caller asks for its largest k
+    # first, so no (family, order) row table is rebuilt when a later caller
+    # asks for more rows: suite all builds A and C at the order, and
+    # theorem-f truncates A to half of it
     built = []
     direct_rows = macmahon._direct_rows
 
@@ -336,12 +338,29 @@ def test_verify_builds_each_row_table_once(capsys, monkeypatch, suite, builds):
         return direct_rows(family, k, order)
 
     monkeypatch.setattr(macmahon, "_direct_rows", counting)
-    monkeypatch.setattr(macmahon, "_TABLES", {})
     rc, _, _ = run(capsys, ["verify", "--suite", suite, "--k-max", "4",
                             "--order", "60"])
     assert rc == EXIT_OK
     assert len(built) == builds
     assert len(set(built)) == builds
+
+
+def test_each_command_builds_its_own_row_table(capsys, monkeypatch):
+    # the CLI opens one run scope per command, so a second command in the
+    # same process is as cold as the first and finds nothing held
+    built = []
+    direct_rows = macmahon._direct_rows
+
+    def counting(family, k, order):
+        built.append((family, k, order))
+        return direct_rows(family, k, order)
+
+    monkeypatch.setattr(macmahon, "_direct_rows", counting)
+    argv = ["coeffs", "--family", "A", "--k", "4", "--order", "300"]
+    first = run(capsys, argv)
+    assert built == [(macmahon.Family.A, 4, 300)]
+    assert run(capsys, argv) == first
+    assert built == [(macmahon.Family.A, 4, 300)] * 2
 
 
 def test_verify_agreement_builds_one_recurrence_chain_per_family(capsys, monkeypatch):
@@ -355,7 +374,6 @@ def test_verify_agreement_builds_one_recurrence_chain_per_family(capsys, monkeyp
         return step(family, k, seed, prev)
 
     monkeypatch.setattr(macmahon, "_recurrence_step", spy)
-    monkeypatch.setattr(macmahon, "_CHAINS", {})
     rc, _, _ = run(capsys, ["verify", "--suite", "agreement", "--k-max", "4",
                             "--order", "200"])
     assert rc == EXIT_OK
@@ -364,16 +382,16 @@ def test_verify_agreement_builds_one_recurrence_chain_per_family(capsys, monkeyp
 
 def test_verify_builds_each_eta_product_once(capsys):
     # (q;q)_inf and (q^2;q^2)_inf are built once and shared by gen_explicit
-    # and the theorem suites; (-q;q)_inf is never built
+    # and the theorem suites; (-q;q)_inf is never built.  The outer scope
+    # keeps the command's memo readable after it returns.
     pochhammer = qdiv.series.pochhammer_inf
-    pochhammer.cache_clear()
-    macmahon._explicit_prefactor.cache_clear()
-    rc, _, _ = run(capsys, ["verify", "--suite", "all", "--k-max", "4", "--order", "200"])
+    with run_scope() as held:
+        rc, _, _ = run(capsys, ["verify", "--suite", "all", "--k-max", "4", "--order", "200"])
+        products = {key: held[key] for key in held if key[0] == "pochhammer"}
+        assert sorted(products) == [("pochhammer", 1, 1, 1, 200), ("pochhammer", 1, 2, 2, 200)]
+        assert pochhammer(1, 1, 1, 200) is products["pochhammer", 1, 1, 1, 200]
+        assert pochhammer(1, 2, 2, 200) is products["pochhammer", 1, 2, 2, 200]
     assert rc == EXIT_OK
-    assert pochhammer.cache_info().misses == 2
-    pochhammer(1, 1, 1, 200)
-    pochhammer(1, 2, 2, 200)
-    assert pochhammer.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ so the oracle/series cross-checks elsewhere rest on two unrelated codepaths.
 
 import itertools
 import random
-import sys
 import threading
+import tracemalloc
+from contextlib import nullcontext
 from operator import add
 
 import pytest
@@ -30,7 +31,7 @@ from qdiv.macmahon import (
 from qdiv import _kernels_py, _newton, macmahon
 from qdiv._newton import _pack, _power_sum, _signed_sum
 from qdiv.macmahon import _add_part, _direct_rows, _dp_rows, _explicit_prefactor
-from qdiv.series import QSeries, pochhammer_inf
+from qdiv.series import QSeries, memo, pochhammer_inf, run_scope
 
 
 def brute_force_count(n, k, odd_parts):
@@ -360,66 +361,91 @@ def test_gen_recurrence_c2():
 
 @pytest.mark.parametrize("family", [Family.A, Family.C])
 @pytest.mark.parametrize("order", [60, 61])
-def test_recurrence_chain_serves_ks_in_any_order(monkeypatch, family, order):
-    # each k from a cold chain, as a fresh process builds it, against the
-    # same k read from one kept chain asked in ascending, descending and
-    # mixed order; k = 9 is past C's last feasible row at order 60
+def test_recurrence_chain_serves_ks_in_any_order(family, order):
+    # each k from a cold chain, as a call outside any scope builds it,
+    # against the same k read from one scope's chain asked in ascending,
+    # descending and mixed order; k = 9 is past C's last feasible row at
+    # order 60
     cold = {}
     for k in range(1, 10):
-        monkeypatch.setattr(macmahon, "_CHAINS", {})
         cold[k] = gen_recurrence(family, k, order)
         assert cold[k] == gen_direct(family, k, order)
     for ks in (range(1, 10), range(9, 0, -1), (3, 6, 1, 8, 2, 9, 5, 4, 7, 6)):
-        monkeypatch.setattr(macmahon, "_CHAINS", {})
-        for k in ks:
-            assert gen_recurrence(family, k, order) == cold[k]
+        with run_scope():
+            for k in ks:
+                assert gen_recurrence(family, k, order) == cold[k]
 
 
 @pytest.mark.parametrize("order", [200, 800])
 def test_theta_sums_times_prefactor_skip_the_kronecker_packer(monkeypatch, order):
-    for family in (Family.A, Family.C):
-        _explicit_prefactor(family, order)  # built once per order, on any path
-    packed = []
-    pack = _kernels_py._pack
+    with run_scope():
+        for family in (Family.A, Family.C):
+            _explicit_prefactor(family, order)  # built once per order, on any path
+        packed = []
+        pack = _kernels_py._pack
 
-    def spy(coeffs, nbytes):
-        packed.append(len(coeffs))
-        return pack(coeffs, nbytes)
+        def spy(coeffs, nbytes):
+            packed.append(len(coeffs))
+            return pack(coeffs, nbytes)
 
-    monkeypatch.setattr(_kernels_py, "_pack", spy)
-    for family in (Family.A, Family.C):
-        for k in range(1, 5):
-            assert gen_explicit(family, k, order) == gen_direct(family, k, order)
+        monkeypatch.setattr(_kernels_py, "_pack", spy)
+        for family in (Family.A, Family.C):
+            for k in range(1, 5):
+                assert gen_explicit(family, k, order) == gen_direct(family, k, order)
     assert packed == []
 
 
-def test_recurrence_chains_shared_by_threads(monkeypatch):
-    # more threads than cores ask for random k of two chains with a short
-    # switch interval; every answer is the cold one and no chain loses a row
+def test_threads_never_share_a_scope():
+    # threads started inside the main thread's scope, each in a scope of
+    # its own or in none, ask for random k of two chains: every answer is
+    # the cold one, a scoped thread's chains hold exactly the rows it asked
+    # for, and no thread sees or fills the main thread's memo
     expected = {(f, k): gen_direct(f, k, 80) for f in (Family.A, Family.C) for k in range(1, 9)}
-    monkeypatch.setattr(macmahon, "_CHAINS", {})
-    wrong = []
+    wrong, saw_main = [], []
 
     def work(seed):
+        saw_main.append(memo() is held)
         rng = random.Random(seed)
-        for _ in range(40):
-            key = rng.choice(list(expected))
-            if gen_recurrence(key[0], key[1], 80) != expected[key]:
-                wrong.append(key)
+        with run_scope() if seed % 2 else nullcontext() as scope:
+            top = {}
+            for _ in range(40):
+                key = rng.choice(list(expected))
+                top[key[0]] = max(top.get(key[0], 0), key[1])
+                if gen_recurrence(key[0], key[1], 80) != expected[key]:
+                    wrong.append(key)
+            if scope is not None:
+                chains = {key[1]: len(v) for key, v in scope.items() if key[0] == "chain"}
+                if chains != top:
+                    wrong.append(chains)
 
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with run_scope() as held:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+        assert held == {}
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert all(len(chain) == 8 for _, chain in macmahon._CHAINS.values())
+    assert saw_main == [False] * 6
+
+
+def test_library_calls_outside_a_scope_hold_nothing():
+    # eight orders of all three routes leave no table, chain or eta
+    # product behind; stores that kept the last eight of each would hold
+    # about 0.13 MB here
+    gen_explicit(Family.A, 3, 99), gen_recurrence(Family.A, 3, 99)  # one-time allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for order in range(100, 108):
+            for family in (Family.A, Family.C):
+                gen_explicit(family, 3, order)
+                gen_recurrence(family, 3, order)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 30_000
 
 
 def test_recurrence_chain_is_kept_only_for_its_seed(monkeypatch):

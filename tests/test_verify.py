@@ -2,6 +2,7 @@
 
 import json
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qdiv.macmahon import Family, gen_direct, gen_explicit
 from qdiv.quasimodular import (
     RAMANUJAN_D, monomial_basis, monomial_columns, recurrence_polynomials,
 )
+from qdiv.series import run_scope
 from qdiv.verify import (
     Mismatch,
     Perturbation,
@@ -405,18 +407,22 @@ def test_quasimodularity_refuses_oversized_basis_before_any_column(monkeypatch):
     assert "weight-80" in str(info.value)
 
 
-def test_perturbation_does_not_leak_into_shared_rows():
-    # the suites share one row table per (family, order) in a process; a
-    # perturbed run must leave it as it was for the runs that follow
-    clean = gen_explicit(Family.A, 2, 30)
-    assert gen_direct(Family.A, 2, 30) == clean
-    perturbed = verify_theorem_f(3, 60, perturb=Perturbation("A_2", 5, 1))
-    assert not perturbed.passed
-    assert gen_direct(Family.A, 2, 30) == clean
-    assert verify_theorem_f(3, 60).passed
-    assert verify_method_agreement(Family.A, 2, 30).passed
-    assert verify_quasimodularity(2, 60).passed
-    assert gen_direct(Family.A, 2, 30) == clean
+@pytest.mark.parametrize("scope", [nullcontext, run_scope], ids=["no-scope", "run-scope"])
+def test_perturbation_does_not_leak_into_shared_rows(scope):
+    # the suites share one row table per (family, order) within a run
+    # scope; a perturbed run must leave it as it was for the runs that
+    # follow.  Outside a scope nothing is shared, so only the run-scope
+    # case exercises a shared table.
+    with scope():
+        clean = gen_explicit(Family.A, 2, 30)
+        assert gen_direct(Family.A, 2, 30) == clean
+        perturbed = verify_theorem_f(3, 60, perturb=Perturbation("A_2", 5, 1))
+        assert not perturbed.passed
+        assert gen_direct(Family.A, 2, 30) == clean
+        assert verify_theorem_f(3, 60).passed
+        assert verify_method_agreement(Family.A, 2, 30).passed
+        assert verify_quasimodularity(2, 60).passed
+        assert gen_direct(Family.A, 2, 30) == clean
 
 
 def spy_table_reads(monkeypatch):
@@ -457,12 +463,12 @@ def test_larger_held_table_adds_no_products(monkeypatch):
         return conv(a, b, order)
 
     monkeypatch.setattr(series.kernels, "conv_trunc", spy)
-    monkeypatch.setattr(macmahon, "_TABLES", {})
-    assert verify_theorem_f(2, 100).passed
-    cold = len(products)
-    assert verify_theorem_f(10, 100).passed
-    del products[:]
-    assert verify_theorem_f(2, 100).passed
+    with run_scope():
+        assert verify_theorem_f(2, 100).passed
+        cold = len(products)
+        assert verify_theorem_f(10, 100).passed
+        del products[:]
+        assert verify_theorem_f(2, 100).passed
     assert len(products) == cold == 6
 
 
