@@ -202,14 +202,14 @@ def _direct_table(family: Family, k: int, order: int) -> tuple:
     """Immutable rows of the defining sum for (family, order), shared within
     one run scope.
 
-    Holds at least rows 0..k, capped at the last feasible row: the one place
-    that decides which rows can be nonzero.  A request for more rows than the
-    held table has truncates a held table of the family at a larger order
-    with enough rows, else rebuilds it.  So the theorem and quasimodular
-    suites read all their rows in one call (slicing off any an earlier,
-    larger caller left), theorem-f's half-order rows come from the agreement
-    suite's table, and the per-k agreement loop asks for its largest k
-    first.
+    Returns exactly rows 0..k, capped at the last feasible row: the one
+    place that decides which rows can be nonzero.  The held table may hold
+    more rows, left by an earlier call with a larger k.  A request for more
+    rows than the held table has truncates a held table of the family at a
+    larger order with enough rows, else rebuilds it.  So the theorem and
+    quasimodular suites read all their rows in one call, theorem-f's
+    half-order rows come from the agreement suite's table, and the per-k
+    agreement loop asks for its largest k first.
     """
     held = memo()
     want = min(k, _feasible_rows(family, order))
@@ -224,7 +224,7 @@ def _direct_table(family: Family, k: int, order: int) -> tuple:
             if larger else _direct_rows(family, want, order)
         )
         held["rows", family, order] = rows
-    return rows
+    return rows[: want + 1]
 
 
 def gen_direct(family: Family, k: int, order: int) -> QSeries:

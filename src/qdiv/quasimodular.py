@@ -8,11 +8,10 @@ then the candidate is re-evaluated and checked against every tracked
 coefficient of the target, so "the solver found something" and "the identity
 holds" stay distinguishable.
 
-For A_k no solve is needed: `verify.verify_quasimodularity` certifies it by
-the paper's induction, from `induction_differences`,
-`recurrence_polynomials` and `window_ranks`, and its docstring states the
-four steps.  `_solve_top` states the window `decompose` solves, which the
-suite pins and ranks, so the suite's `ambiguous` is what a solve would find.
+For A_k no solve is needed: `certify_rows` certifies the rows of the
+defining sum by the paper's induction, and its docstring states the four
+checks.  `_solve_top` states the window `decompose` solves, which
+`certify_rows` pins and ranks, so its `ambiguous` is what a solve would find.
 
 `fit_divisor_form` probes the related representation a_{n,k} =
 sum_j p_j(n) * sigma_{2j-1}(n) with polynomial weights p_j of bounded degree;
@@ -338,36 +337,6 @@ def _candidate_difference(
     return _first_difference(*combo, target)
 
 
-def induction_differences(rows: list[QSeries], polys: list[dict], order: int) -> list:
-    """Steps 1-3 of the certificate that `verify.verify_quasimodularity`
-    states, on rows[1..k_max] = A_1, ..., A_{k_max}, each exact through
-    `order`, with `polys` from `recurrence_polynomials(k_max)`.
-
-    differences[0] is the first difference of the Ramanujan identities, on
-    the columns of weight <= min(2 k_max, 8); differences[1] that of polys[1]
-    against rows[1]; differences[k], k >= 2, that of the step of
-    `gen_recurrence` from rows[k-1] to rows[k], its numerator against its
-    denominator times rows[k].  Each is None where the check holds, else a
-    `_first_difference` triple.  The steps read only the rows and run before
-    any column is built, so their work does not add to the memory the
-    columns hold.
-    """
-    steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, len(rows)))
-    differences = [None, None] + [
-        _first_difference(numerator.coeffs, denominator, row)
-        for (numerator, denominator), row in zip(steps, rows[2:])
-    ]
-    weight = min(2 * (len(rows) - 1), 8)
-    columns = monomial_columns(weight, order)
-    differences[1] = _candidate_difference(polys[1], columns, rows[1], order)
-    generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for exps, image in zip(generators[: weight // 2 - 1], RAMANUJAN_D):
-        image = {QMMonomial(*e): c for e, c in image.items()}
-        derivative = columns[QMMonomial(*exps)].q_derivative()
-        differences[0] = differences[0] or _candidate_difference(image, columns, derivative, order)
-    return differences
-
-
 _RANK_PRIME = 2**31 - 1
 
 
@@ -420,6 +389,76 @@ def window_ranks(columns: list[QSeries], sizes: list[int], order: int) -> list[i
             n += 1
         ranks.append(sum(pc < m for pc in pivots))
     return ranks
+
+
+def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict]:
+    """Certify rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
+    as polynomials in E2, E4, E6 of weight <= 2k: the paper's induction, as
+    four exact checks, with D = q d/dq:
+
+    1. Ramanujan's identities D E_w = R_w(E2, E4, E6) from `RAMANUJAN_D`,
+       for the w in 2, 4, 6 with w + 2 <= 2k_max (no step below takes D of a
+       heavier generator), on the columns of weight <= min(2k_max, 8);
+    2. A_1 of `recurrence_polynomials(k_max)`, the paper's (1 - E2)/24,
+       against rows[1];
+    3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} of
+       `gen_recurrence` on the rows, k = 2..k_max.  With 1 and 2, induction
+       makes each A_k some Q_k in Q[E2, E4, E6] of weight <= 2k;
+    4. `recurrence_polynomials(k_max)[k]` against rows[k] on the window
+       `decompose` would solve, coefficients 0.._solve_top(m_k, order) for
+       the weight-2k basis of m_k monomials.  A window of full rank mod a
+       prime (`window_ranks`) has full rank over Q, so it pins that
+       polynomial to Q_k with no free column (`ambiguous` false); a window
+       short of it goes to `decompose`.
+
+    Checks 1-3 run through `order`, the steps before any column is built,
+    so their work does not add to the memory the columns hold; the columns
+    of weight <= 2k_max are built only through the largest window.  Returns
+    (difference, details): difference is None when every check holds, else
+    the first failing check's (exponent, row coefficient, candidate value),
+    k by k, where a failing step's candidate is its numerator over
+    (2k+1) 2k, Q_k's value when the rows below k are right; details maps
+    each A_k certified before it to its weight bound, term count and
+    `ambiguous`.
+    """
+    k_max = len(rows) - 1
+    polys = recurrence_polynomials(k_max)
+    steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, k_max + 1))
+    # entry k is the check that puts A_k in the ring: 1 and 2 for k = 1, 3 above
+    differences = [None, None] + [
+        _first_difference(numerator.coeffs, denominator, row)
+        for (numerator, denominator), row in zip(steps, rows[2:])
+    ]
+    weight = min(2 * k_max, 8)
+    columns = monomial_columns(weight, order)
+    generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for exps, image in zip(generators[: weight // 2 - 1], RAMANUJAN_D):
+        image = {QMMonomial(*e): c for e, c in image.items()}
+        derivative = columns[QMMonomial(*exps)].q_derivative()
+        differences[1] = differences[1] or _candidate_difference(image, columns, derivative, order)
+    differences[1] = differences[1] or _candidate_difference(polys[1], columns, rows[1], order)
+    columns = derivative = None  # hold no full-order series while the window columns are built
+    sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
+    windows = [_solve_top(m, order) for m in sizes]
+    window_columns = monomial_columns(2 * k_max, windows[-1])
+    ranks = window_ranks(list(window_columns.values()), sizes, order)
+    details: dict = {}
+    for k in range(1, k_max + 1):
+        difference = differences[k] or _candidate_difference(
+            polys[k], window_columns, rows[k], windows[k - 1]
+        )
+        if difference is not None:
+            return difference, details
+        if ranks[k - 1] == sizes[k - 1]:
+            terms, ambiguous = len(polys[k]), False
+        else:
+            try:
+                dec = decompose(rows[k], 2 * k, order, description=f"A_{k}")
+            except NoDecompositionError as e:
+                return (e.exponent, e.lhs, e.rhs), details
+            terms, ambiguous = len(dec.terms), dec.ambiguous
+        details[f"A_{k}"] = {"weight_bound": 2 * k, "terms": terms, "ambiguous": ambiguous}
+    return None, details
 
 
 @dataclass

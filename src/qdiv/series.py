@@ -226,6 +226,8 @@ class QSeries:
 
     def truncate(self, order: int) -> "QSeries":
         """Restriction to a smaller order; raising the order is not possible."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if order > self.order:
             raise ValueError(
                 f"cannot extend to order {order}: coefficients beyond {self.order} are unknown"
@@ -245,8 +247,14 @@ class QSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
-        return cls(coeffs, order=int(obj["order"]))
+        """Inverse of `to_json_obj`: `order` must be an int and `coeffs` hold
+        exactly order + 1 entries, so no unknown coefficient reads as 0."""
+        order, coeffs = obj["order"], obj["coeffs"]
+        if type(order) is not int:
+            raise ValueError(f"order must be an int, got {order!r}")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(coeffs)}")
+        return cls([Fraction(s) for s in coeffs], order)
 
 
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("qdiv_memo")
@@ -325,6 +333,10 @@ def divisor_sigma(n: int, k: int) -> int:
 
 def sigma_series(k: int, order: int) -> QSeries:
     """sum_{n>=1} sigma_k(n) q^n via a divisor sieve (no constant term)."""
+    if k < 0:
+        raise ValueError("sigma_series requires k >= 0")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     data = [0] * (order + 1)
     for d in range(1, order + 1):
         p = d**k

@@ -29,11 +29,7 @@ from .macmahon import (
     Family, _direct_table, gen_direct, gen_explicit, gen_recurrence,
     oracle_a, oracle_c, theta_f, theta_g,
 )
-from .quasimodular import (
-    NoDecompositionError, _candidate_difference, _solve_top, check_basis_size,
-    decompose, induction_differences, monomial_basis, monomial_columns,
-    recurrence_polynomials, window_ranks,
-)
+from .quasimodular import NoDecompositionError, certify_rows, check_basis_size, decompose
 from .series import QSeries, pochhammer_inf
 
 Rational = Union[int, Fraction]
@@ -224,8 +220,7 @@ def _verify_theorem(
     prefactor = _tap(prefactor, "prefactor", perturb)
     family = Family.A if odd else Family.C
     row_order = (order + 1) // 2 if odd else order
-    # a table left by an earlier, larger caller holds more rows than asked for
-    rows = _direct_table(family, k_max, row_order)[: k_max + 1]
+    rows = _direct_table(family, k_max, row_order)
     bumped_row = _tapped_index(perturb, f"{family.value}_")
     if len(rows) <= bumped_row <= k_max:
         rows += (QSeries.zero(row_order),) * (bumped_row + 1 - len(rows))
@@ -304,72 +299,24 @@ def verify_quasimodularity(
 ) -> VerificationReport:
     """Certify A_1..A_{k_max} as polynomials in E2, E4, E6 of weight <= 2k.
 
-    The certificate is the paper's induction, each check exact through
-    `order`, with D = q d/dq:
-
-    1. Ramanujan's identities D E_w = R_w(E2, E4, E6), each R_w read from
-       `RAMANUJAN_D`, for the w in 2, 4, 6 with w + 2 <= 2k_max (the steps
-       below take D of no generator heavier), on the columns of weight
-       <= min(2k_max, 8);
-    2. the base case: A_1 of `recurrence_polynomials(k_max)`, the paper's
-       (1 - E2)/24, against row 1 of the defining sum;
-    3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} on the
-       rows, for k = 2..k_max, as `gen_recurrence` states it.  With 1 and 2,
-       induction makes each A_k equal some Q_k in Q[E2, E4, E6] of weight
-       <= 2k through q^order;
-    4. `recurrence_polynomials(k_max)[k]` against row k on the window that
-       `decompose` would solve, coefficients 0.._solve_top(m_k, order) with
-       m_k the weight-2k basis size.  A window of full rank modulo a prime
-       (`window_ranks`) has full rank over Q, so it pins that polynomial to
-       Q_k, with no free column: `ambiguous` is false.  A window short of
-       that rank goes to `decompose`, whose details are then reported.
-
-    The first failing check is the mismatch, with the candidate's value; a
-    failing step reports its numerator over (2k+1) 2k, which is Q_k's value
-    when the rows below k are right.  Only the columns of weight
-    <= min(2k_max, 8), at most 11, are built through `order`, and those of
-    weight <= 2k_max only through the largest window.  Records
-    decomposition sizes in the report details, along with an informational
-    probe showing that the odd-part family's C_1 does NOT decompose in this
-    basis (expected; its failure does not fail the suite); the probe's
-    `decompose` builds its own two columns, 1 and E2.  Raises ValueError,
-    before any series is built, when the weight-2k_max basis is too large
-    for `order` or `perturb` names no series of this suite.
+    The report's mismatch and details are those `quasimodular.certify_rows`
+    returns for the rows of the defining sum through `order`.  When every
+    check holds, an informational probe shows that the odd-part family's C_1
+    does NOT decompose in this basis (expected; its failure does not fail
+    the suite), with a `decompose` of its own two columns, 1 and E2.  Raises
+    ValueError, before any series is built, when the weight-2k_max basis is
+    too large for `order` or `perturb` names no series of this suite.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _refuse_unknown_target(perturb, "quasimodular", k_max)
     check_basis_size(2 * k_max, order)
     t0 = time.perf_counter()
-    details: dict = {}
     # the basis-size check leaves every A_k with k <= k_max feasible
     rows = _direct_table(Family.A, k_max, order)
-    rows = [_tap(row, f"A_{k}", perturb) for k, row in enumerate(rows[: k_max + 1])]
-    polys = recurrence_polynomials(k_max)
-    differences = induction_differences(rows, polys, order)
-    sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
-    windows = [_solve_top(m, order) for m in sizes]
-    window_columns = monomial_columns(2 * k_max, windows[-1])
-    ranks = window_ranks(list(window_columns.values()), sizes, order)
-    mismatch = None
-    difference = differences[0]
-    for k in range(1, k_max + 1):
-        difference = difference or differences[k] or _candidate_difference(
-            polys[k], window_columns, rows[k], windows[k - 1]
-        )
-        if difference is not None:
-            mismatch = Mismatch(None, *difference)
-            break
-        if ranks[k - 1] == sizes[k - 1]:
-            terms, ambiguous = len(polys[k]), False
-        else:
-            try:
-                dec = decompose(rows[k], 2 * k, order, description=f"A_{k}")
-            except NoDecompositionError as e:
-                mismatch = Mismatch(None, e.exponent, e.lhs, e.rhs)
-                break
-            terms, ambiguous = len(dec.terms), dec.ambiguous
-        details[f"A_{k}"] = {"weight_bound": 2 * k, "terms": terms, "ambiguous": ambiguous}
+    rows = [_tap(row, f"A_{k}", perturb) for k, row in enumerate(rows)]
+    difference, details = certify_rows(rows, order)
+    mismatch = None if difference is None else Mismatch(None, *difference)
     if mismatch is None:
         try:
             decompose(_direct_table(Family.C, 1, order)[1], 2, order, description="C_1")

@@ -210,6 +210,18 @@ def test_sigma_series_matches_pointwise():
     assert s.coefficient(0) == 0
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: sigma_series(1, -1), "order must be nonnegative"),
+    (lambda: sigma_series(-1, 5), "k >= 0"),
+    (lambda: eisenstein(4, -1), "order must be nonnegative"),
+])
+def test_sigma_series_rejects_negative_arguments(build, match):
+    # as divisor_sigma does, instead of an order -1 series, a float
+    # coefficient or an IndexError
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_eisenstein_expansions():
     assert eisenstein(2, 3).coeffs == (1, -24, -72, -96)
     assert eisenstein(4, 2).coeffs == (1, 240, 2160)
@@ -318,6 +330,13 @@ def test_truncate_cannot_extend():
     assert s.truncate(0) == QSeries([1], 0)
 
 
+@pytest.mark.parametrize("order", [-1, -5])
+def test_truncate_rejects_negative_order(order):
+    # no series of some other order, such as -1 or 6, comes back
+    with pytest.raises(ValueError, match="nonnegative"):
+        QSeries(range(11), 10).truncate(order)
+
+
 def test_substitute_reindexes():
     s = QSeries([1, 2, 3], 2)
     sub = s.substitute(3)
@@ -339,3 +358,14 @@ def test_json_roundtrip():
     assert obj == {"order": 2, "coeffs": ["1", "-7/3", "0"]}
     assert " " not in "".join(obj["coeffs"])
     assert QSeries.from_json_obj(obj) == s
+
+
+@pytest.mark.parametrize("obj, match", [
+    ({"order": 2, "coeffs": ["1", "2"]}, "needs 3 coefficients"),  # unknown q^2 is not 0
+    ({"order": 1, "coeffs": ["1", "2", "3"]}, "needs 2 coefficients"),
+    ({"order": 2.9, "coeffs": ["1", "2", "3"]}, "must be an int"),
+    ({"order": -1, "coeffs": []}, "nonnegative"),
+])
+def test_json_malformed_series_refused(obj, match):
+    with pytest.raises(ValueError, match=match):
+        QSeries.from_json_obj(obj)

@@ -206,7 +206,7 @@ def test_quasimodularity_solves_only_the_c1_probe(monkeypatch):
 def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
     clean = verify_quasimodularity(4, 100).to_json_obj()
     solved = []
-    ranks, decompose = verify.window_ranks, verify.decompose
+    ranks, decompose = quasimodular.window_ranks, quasimodular.decompose
 
     def short(columns, sizes, order):
         found = ranks(columns, sizes, order)
@@ -217,13 +217,34 @@ def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
         solved.append(description)
         return decompose(target, weight_bound, order, description)
 
-    monkeypatch.setattr(verify, "window_ranks", short)
-    monkeypatch.setattr(verify, "decompose", spy)
+    monkeypatch.setattr(quasimodular, "window_ranks", short)
+    monkeypatch.setattr(quasimodular, "decompose", spy)
+    monkeypatch.setattr(verify, "decompose", spy)  # the C_1 probe
     r = verify_quasimodularity(4, 100).to_json_obj()
     assert solved == ["A_3", "C_1"]
     for obj in (clean, r):
         del obj["elapsed"]
     assert r == clean
+
+
+def test_certify_rows_returns_the_report_mismatch_and_details():
+    # certify_rows is the whole certificate: the suite adds only the taps,
+    # the C_1 probe and the report
+    k_max, order = 5, 100
+    clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
+    difference, details = quasimodular.certify_rows(clean, order)
+    report = verify_quasimodularity(k_max, order)
+    assert difference is None
+    assert details == {key: v for key, v in report.details.items() if key != "C_1_probe"}
+    assert list(details) == [f"A_{k}" for k in range(1, k_max + 1)]
+    for k, exponent, delta in [(1, 40, 1), (3, 5, -3), (5, 90, Fraction(1, 7))]:
+        p = Perturbation(f"A_{k}", exponent, delta)
+        rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
+        difference, details = quasimodular.certify_rows(rows, order)
+        report = verify_quasimodularity(k_max, order, perturb=p)
+        assert Mismatch(None, *difference) == report.first_mismatch, p
+        assert details == report.details, p
+        assert list(details) == [f"A_{j}" for j in range(1, k)], p
 
 
 def full_order_mismatch(k_max, order, columns, perturb):
@@ -259,14 +280,14 @@ def test_quasimodular_mismatch_matches_the_full_order_reference(k_max, order):
 def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
     # the induction holds whatever the polynomials say; only the window pin
     # sees a wrong coefficient
-    polys = verify.recurrence_polynomials
+    polys = quasimodular.recurrence_polynomials
 
     def nudged(k_max):
         found = polys(k_max)
         found[3][next(iter(found[3]))] += Fraction(1, 10**6)
         return found
 
-    monkeypatch.setattr(verify, "recurrence_polynomials", nudged)
+    monkeypatch.setattr(quasimodular, "recurrence_polynomials", nudged)
     r = verify_quasimodularity(4, 100)
     assert not r.passed
     assert r.first_mismatch.q_exponent <= len(monomial_basis(6)) + 4
