@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-import traceback
 from typing import Optional, Sequence
 
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c
@@ -297,6 +296,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # loaded only when a command fails
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

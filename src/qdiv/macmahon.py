@@ -272,17 +272,29 @@ def _explicit_prefactor(family: Family, order: int) -> QSeries:
     """The k-independent eta-type factor of `gen_explicit`, built once per
     (family, order) within one run scope.
 
-    (q;q)_inf^-3 for A, (-q;q)_inf/(q;q)_inf for C.  Only `gen_explicit`
-    reads it, so the other routes share nothing with it.  C's factor is
-    built as (q^2;q^2)_inf/(q;q)_inf^2, as 1 + q^e = (1 - q^2e)/(1 - q^e).
+    (q;q)_inf^-3 for A, (-q;q)_inf/(q;q)_inf for C.  C's factor is the
+    inverse of `_eta_quotient`, a lacunary series, so the inversion is cheap.
     """
     held, key = memo(), ("prefactor", family, order)
     if key not in held:
-        pq = pochhammer_inf(1, 1, 1, order)
         if family is Family.A:
-            held[key] = (pq**3).inverse()
+            held[key] = (pochhammer_inf(1, 1, 1, order) ** 3).inverse()
         else:
-            held[key] = pochhammer_inf(1, 2, 2, order) * pq.inverse() ** 2
+            held[key] = _eta_quotient(order).inverse()
+    return held[key]
+
+
+def _eta_quotient(order: int) -> QSeries:
+    """(q;q)_inf/(-q;q)_inf = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), built once per
+    order within one run scope: theorem-g's prefactor and the inverse of C's
+    factor in `gen_explicit`.
+
+    Built as (q;q)_inf^2/(q^2;q^2)_inf from the shared eta products, since
+    1 + q^e = (1 - q^2e)/(1 - q^e); (-q;q)_inf itself is never built.
+    """
+    held, key = memo(), ("eta_quotient", order)
+    if key not in held:
+        held[key] = pochhammer_inf(1, 1, 1, order) ** 2 * pochhammer_inf(1, 2, 2, order).inverse()
     return held[key]
 
 

@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .linalg import IncrementalSolver
 from .macmahon import Family, _recurrence_step, gen_direct
 from .series import QSeries, divisor_sigma, eisenstein
 
 
-@dataclass(frozen=True, order=True)
-class QMMonomial:
+class QMMonomial(NamedTuple):
     """Exponents (a, b, c) of E2^a * E4^b * E6^c."""
 
     a: int
@@ -79,8 +77,7 @@ class NoDecompositionError(Exception):
         )
 
 
-@dataclass
-class QMDecomposition:
+class QMDecomposition(NamedTuple):
     """Verified rational combination of Eisenstein monomials."""
 
     terms: dict[QMMonomial, Fraction]
@@ -398,7 +395,7 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
 
     1. Ramanujan's identities D E_w = R_w(E2, E4, E6) from `RAMANUJAN_D`,
        for the w in 2, 4, 6 with w + 2 <= 2k_max (no step below takes D of a
-       heavier generator), on the columns of weight <= min(2k_max, 8);
+       heavier generator);
     2. A_1 of `recurrence_polynomials(k_max)`, the paper's (1 - E2)/24,
        against rows[1];
     3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} of
@@ -412,8 +409,9 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
        short of it goes to `decompose`.
 
     Checks 1-3 run through `order`, the steps before any column is built,
-    so their work does not add to the memory the columns hold; the columns
-    of weight <= 2k_max are built only through the largest window.  Returns
+    so their work does not add to the memory the columns hold.  Only the
+    columns checks 1 and 2 read (8 at most) are built through `order`, and
+    those of weight <= 2k_max only through the largest window.  Returns
     (difference, details): difference is None when every check holds, else
     the first failing check's (exponent, row coefficient, candidate value),
     k by k, where a failing step's candidate is its numerator over
@@ -430,11 +428,12 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
         for (numerator, denominator), row in zip(steps, rows[2:])
     ]
     weight = min(2 * k_max, 8)
-    columns = monomial_columns(weight, order)
-    generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for exps, image in zip(generators[: weight // 2 - 1], RAMANUJAN_D):
-        image = {QMMonomial(*e): c for e, c in image.items()}
-        derivative = columns[QMMonomial(*exps)].q_derivative()
+    identities = list(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1))[: weight // 2 - 1], RAMANUJAN_D))
+    read = {(0, 0, 0), (1, 0, 0)}.union(*({g, *image} for g, image in identities))
+    basis = [m for m in monomial_basis(weight) if m in read]
+    columns = dict(zip(basis, _monomial_series(basis, order)))
+    for g, image in identities:
+        derivative = columns[g].q_derivative()
         differences[1] = differences[1] or _candidate_difference(image, columns, derivative, order)
     differences[1] = differences[1] or _candidate_difference(polys[1], columns, rows[1], order)
     columns = derivative = None  # hold no full-order series while the window columns are built
@@ -461,8 +460,7 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
     return None, details
 
 
-@dataclass
-class DivisorFitResult:
+class DivisorFitResult(NamedTuple):
     """Outcome of fit_divisor_form; `polynomials` is None exactly on failure."""
 
     k: int

@@ -6,9 +6,9 @@ mismatching coefficient (x-degree where applicable, q-exponent, and the two
 exact rational values).  Passing at order N is coefficientwise evidence
 through q^N, not a proof.  Suites within one run scope share what does not
 depend on the suite: the row tables of `gen_direct`, the recurrence chains
-of `gen_recurrence` and the eta products of `pochhammer_inf`.  A perturbation
-is applied to a copy and never reaches a shared value
-(`test_perturbation_does_not_leak_into_shared_rows`).
+of `gen_recurrence`, the eta products of `pochhammer_inf` and the quotient
+of `macmahon._eta_quotient`.  A perturbation is applied to a copy and never
+reaches a shared value (`test_perturbation_does_not_leak_into_shared_rows`).
 
 Every suite takes an optional `Perturbation` naming one of its intermediate
 series; the named series gets a single coefficient bumped before use.  This
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .macmahon import (
-    Family, _direct_table, gen_direct, gen_explicit, gen_recurrence,
+    Family, _direct_table, _eta_quotient, gen_direct, gen_explicit, gen_recurrence,
     oracle_a, oracle_c, theta_f, theta_g,
 )
 from .quasimodular import NoDecompositionError, certify_rows, check_basis_size, decompose
@@ -35,8 +34,7 @@ from .series import QSeries, pochhammer_inf
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """First located coefficient disagreement of an identity check."""
 
     x_degree: Optional[int]
@@ -56,9 +54,8 @@ class Mismatch:
         }
 
 
-@dataclass
-class VerificationReport:
-    """Structured outcome of one identity suite."""
+class _ReportFields(NamedTuple):
+    """The fields of `VerificationReport`, whose `__new__` checks them."""
 
     identity_name: str
     parameters: dict
@@ -66,13 +63,32 @@ class VerificationReport:
     status: str  # "pass" | "fail"
     first_mismatch: Optional[Mismatch]
     elapsed: float
-    details: dict = field(default_factory=dict)
+    details: Optional[dict] = None
 
-    def __post_init__(self):
-        if (self.status == "fail") != (self.first_mismatch is not None):
+
+class VerificationReport(_ReportFields):
+    """Structured outcome of one identity suite; `details` defaults to a
+    fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, identity_name: str, parameters: dict, checked_order: int, status: str,
+        first_mismatch: Optional[Mismatch], elapsed: float, details: Optional[dict] = None,
+    ):
+        if (status == "fail") != (first_mismatch is not None):
             raise ValueError("status must be 'fail' exactly when a mismatch is present")
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"invalid status {self.status!r}")
+        if status not in ("pass", "fail"):
+            raise ValueError(f"invalid status {status!r}")
+        return super().__new__(
+            cls, identity_name, parameters, checked_order, status, first_mismatch, elapsed,
+            {} if details is None else details,
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "VerificationReport":
+        # `_replace` builds through `_make`, so it too passes the checks
+        return cls(*iterable)
 
     @property
     def passed(self) -> bool:
@@ -103,8 +119,7 @@ class VerificationReport:
         return line
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(NamedTuple):
     """Bump one coefficient of a named intermediate series by `delta`.
 
     The exponent must lie in the tracked range of the named series (note the
@@ -148,7 +163,7 @@ def _report(
 ) -> VerificationReport:
     status = "fail" if mismatch else "pass"
     elapsed = time.perf_counter() - t0
-    return VerificationReport(name, parameters, order, status, mismatch, elapsed, details or {})
+    return VerificationReport(name, parameters, order, status, mismatch, elapsed, details)
 
 
 def perturbable_targets(suite: str, k_max: int) -> list[str]:
@@ -214,9 +229,7 @@ def _verify_theorem(
     if odd:
         prefactor = pochhammer_inf(1, 2, 2, order) ** 3
     else:
-        prefactor = (
-            pochhammer_inf(1, 1, 1, order) ** 2 * pochhammer_inf(1, 2, 2, order).inverse()
-        )
+        prefactor = _eta_quotient(order)
     prefactor = _tap(prefactor, "prefactor", perturb)
     family = Family.A if odd else Family.C
     row_order = (order + 1) // 2 if odd else order
@@ -264,8 +277,8 @@ def verify_theorem_g(
 
     Also asserts that every odd x-degree entry of G vanishes.  k_max = 0 is
     the seed identity 1 + 2 sum (-1)^n q^(n^2) = (q;q)_inf/(-q;q)_inf.  The
-    prefactor is built as (q;q)_inf^2/(q^2;q^2)_inf, from the products
-    shared within one run scope, since 1 + q^e = (1 - q^2e)/(1 - q^e).
+    prefactor is `macmahon._eta_quotient`, shared within one run scope with
+    `gen_explicit`.
     """
     return _verify_theorem(0, k_max, order, perturb)
 

@@ -52,6 +52,9 @@ def test_import_loads_only_the_standard_library():
         timeout=60, check=True,
     ).stdout.split()
     assert "qdiv.cli" in out
+    # records are named tuples and traceback is loaded only on failure, so
+    # no start-up pays for the dataclasses -> inspect chain
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}.isdisjoint(out)
     outside = [
         name for name in out
         if name != "qdiv" and not name.startswith("qdiv.")
@@ -430,6 +433,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("qdiv.cli.verify_theorem_f", boom)
     rc, _, err = run(capsys, ["verify", "--suite", "theorem-f"])
     assert rc == EXIT_INTERNAL
+    assert "Traceback (most recent call last)" in err
     assert "kaput" in err
 
 

@@ -10,7 +10,8 @@ import pytest
 from qdiv import linalg, macmahon, quasimodular, series, verify
 from qdiv.macmahon import Family, gen_direct, gen_explicit
 from qdiv.quasimodular import (
-    RAMANUJAN_D, monomial_basis, monomial_columns, recurrence_polynomials,
+    RAMANUJAN_D, DivisorFitResult, QMDecomposition, QMMonomial, monomial_basis,
+    monomial_columns, recurrence_polynomials,
 )
 from qdiv.series import run_scope
 from qdiv.verify import (
@@ -104,6 +105,41 @@ def test_report_invariant_fail_iff_mismatch():
         VerificationReport("x", {}, 10, "maybe", None, 0.0)
     ok = VerificationReport("x", {}, 10, "fail", mm, 0.0)
     assert not ok.passed
+    with pytest.raises(ValueError):
+        ok._replace(status="pass")
+    # each report built without details gets a dict of its own
+    ok.details["k"] = 1
+    assert VerificationReport("x", {}, 10, "fail", mm, 0.0).details == {}
+
+
+@pytest.mark.parametrize("record, given, defaults", [
+    (Mismatch, {"x_degree": None, "q_exponent": 3, "lhs_coefficient": 1,
+                "rhs_coefficient": Fraction(1, 2)}, {}),
+    (VerificationReport, {"identity_name": "x", "parameters": {}, "checked_order": 10,
+                          "status": "pass", "first_mismatch": None, "elapsed": 0.0},
+     {"details": {}}),
+    (Perturbation, {"target": "A_1", "exponent": 2}, {"delta": 1}),
+    (QMMonomial, {"a": 1, "b": 0, "c": 2}, {}),
+    (QMDecomposition, {"terms": {}, "weight_bound": 2, "verified_order": 10},
+     {"target_description": "", "ambiguous": False}),
+    (DivisorFitResult, {"k": 1, "degree_bound": 0, "checked_n": 10},
+     {"polynomials": None, "first_failure_n": None, "ambiguous": False}),
+], ids=["Mismatch", "VerificationReport", "Perturbation", "QMMonomial", "QMDecomposition",
+        "DivisorFitResult"])
+def test_records_are_immutable_named_tuples(record, given, defaults):
+    r = record(**given)
+    fields = {**given, **defaults}  # the defaulted fields come last
+    assert r._fields == tuple(fields)
+    assert tuple(r) == tuple(fields.values())
+    with pytest.raises(AttributeError):
+        setattr(r, r._fields[0], None)
+    with pytest.raises(AttributeError):
+        r.extra = None
+
+
+def test_monomials_sort_by_exponents():
+    exps = [(1, 2, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 3)]
+    assert sorted(QMMonomial(*e) for e in exps) == [QMMonomial(*e) for e in sorted(exps)]
 
 
 def test_report_json_and_determinism():
@@ -354,9 +390,10 @@ def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypa
 
     monkeypatch.setattr(quasimodular, "_monomial_series", spy)
     assert verify_quasimodularity(12, 400).passed
-    # the weight-24 columns only through the largest window, 102 + 4, and
-    # the C_1 probe's own two columns
-    assert built == [(11, 400), (102, 106), (2, 400)]
+    # through the order only the 8 columns Ramanujan's identities and A_1
+    # read, the weight-24 columns only through the largest window, 102 + 4,
+    # and the C_1 probe's own two columns
+    assert built == [(8, 400), (102, 106), (2, 400)]
 
 
 @pytest.mark.parametrize("run, weights", [
