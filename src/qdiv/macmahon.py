@@ -232,15 +232,16 @@ def gen_direct(family: Family, k: int, order: int) -> QSeries:
 
     Read from the shared table built by `_direct_rows`, which takes the
     part-by-part DP or Newton's identities by a size rule on (family, k,
-    order); rows beyond the last feasible one are the zero series.  k = 0
-    is the empty product, i.e. the constant series 1.
+    order); past the last feasible row the answer is the zero series, with
+    no row built.  k = 0 is the empty product, i.e. the constant series 1.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    rows = _direct_table(family, k, order)
-    return rows[k] if k < len(rows) else QSeries.zero(order)
+    if k > _feasible_rows(family, order):
+        return QSeries.zero(order)
+    return _direct_table(family, k, order)[k]
 
 
 def gen_explicit(family: Family, k: int, order: int) -> QSeries:

@@ -9,9 +9,10 @@ coefficient of the target, so "the solver found something" and "the identity
 holds" stay distinguishable.
 
 For A_k no solve is needed: `certify_rows` certifies the rows of the
-defining sum by the paper's induction, and its docstring states the four
-checks.  `_solve_top` states the window `decompose` solves, which
-`certify_rows` pins and ranks, so its `ambiguous` is what a solve would find.
+defining sum by the paper's induction, in series and in the polynomial
+ring, and its docstring states the four checks.  `_solve_top` states the
+window `decompose` solves; `certify_rows` ranks it mod a prime on columns
+built mod that prime, so its `ambiguous` is what a solve would find.
 
 `fit_divisor_form` probes the related representation a_{n,k} =
 sum_j p_j(n) * sigma_{2j-1}(n) with polynomial weights p_j of bounded degree;
@@ -24,6 +25,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import Iterator, NamedTuple, Optional
 
 from .linalg import IncrementalSolver
@@ -142,30 +144,38 @@ def check_basis_size(weight_bound: int, order: int) -> None:
         )
 
 
-def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
-    """Series of each monomial of `basis`: its parent's series times one generator.
+def _build_columns(basis: list[QMMonomial], one, generator, times) -> list:
+    """Column of each monomial of `basis`, by the parent rule both column
+    builders follow: a monomial's column is its parent's times one generator's.
 
     The parent has one E2 fewer; with no E2, one E4 fewer; otherwise one E6
-    fewer.  The constant and the generators E2, E4, E6 are their own series,
-    with no product, and only the generators no heavier than the heaviest
-    monomial are sieved.  Precondition: every parent is in `basis` and comes
-    earlier, as in a full basis in `_monomials` order (weight ascending).
+    fewer.  The constant's column is `one` and a generator's, of weight w,
+    is `generator(w)`, with no product; each generator is sieved once, when
+    first needed, so only those the basis holds are sieved.  Every other
+    column is `times(parent column, generator column)`.  Precondition: every
+    parent is in `basis` and comes earlier, as in a full basis in
+    `_monomials` order (weight ascending).
     """
-    top = max((m.weight for m in basis), default=0)
-    generators = (QMMonomial(1, 0, 0), QMMonomial(0, 1, 0), QMMonomial(0, 0, 1))
-    built = {QMMonomial(0, 0, 0): QSeries.one(order)}
-    built.update((g, eisenstein(g.weight, order)) for g in generators if g.weight <= top)
-    e2, e4, e6 = (built.get(g) for g in generators)
+    built = {QMMonomial(0, 0, 0): one}
+    generators: dict = {}
     for m in basis:
         if m in built:
             continue
         if m.a:
-            built[m] = built[QMMonomial(m.a - 1, m.b, m.c)] * e2
+            parent, i = QMMonomial(m.a - 1, m.b, m.c), 0
         elif m.b:
-            built[m] = built[QMMonomial(0, m.b - 1, m.c)] * e4
+            parent, i = QMMonomial(0, m.b - 1, m.c), 1
         else:
-            built[m] = built[QMMonomial(0, 0, m.c - 1)] * e6
+            parent, i = QMMonomial(0, 0, m.c - 1), 2
+        if i not in generators:
+            generators[i] = generator(2 * i + 2)
+        built[m] = generators[i] if parent.weight == 0 else times(built[parent], generators[i])
     return [built[m] for m in basis]
+
+
+def _monomial_series(basis: list[QMMonomial], order: int) -> list[QSeries]:
+    """Exact series through q^order of each monomial of `basis`, by `_build_columns`."""
+    return _build_columns(basis, QSeries.one(order), lambda w: eisenstein(w, order), mul)
 
 
 def monomial_columns(weight_bound: int, order: int) -> dict[QMMonomial, QSeries]:
@@ -284,9 +294,17 @@ def _q_derivative(poly: dict, images: list) -> Counter:
     for exps, coeff in poly.items():
         for i, e in enumerate(exps):
             if e:
-                lower = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out.update(_mul({lower: e * coeff}, images[i]))
+                a, b, c = (f - (j == i) for j, f in enumerate(exps))  # one E_{2i+2} fewer
+                for (x, y, z), v in images[i].items():
+                    out[a + x, b + y, c + z] += e * coeff * v
     return out
+
+
+def _integer_images() -> tuple[int, list[dict]]:
+    """(s, the images of s*D): s = 12 is the lcm of 4 and the denominators
+    of RAMANUJAN_D, so s*D maps each generator to integer coefficients."""
+    scale = math.lcm(4, *(c.denominator for image in RAMANUJAN_D for c in image.values()))
+    return scale, [{e: int(scale * c) for e, c in image.items()} for image in RAMANUJAN_D]
 
 
 def recurrence_polynomials(k_max: int) -> list[dict[QMMonomial, Fraction]]:
@@ -306,8 +324,7 @@ def recurrence_polynomials(k_max: int) -> list[dict[QMMonomial, Fraction]]:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     one = (0, 0, 0)
-    scale = math.lcm(4, *(c.denominator for image in RAMANUJAN_D for c in image.values()))
-    images = [{e: int(scale * c) for e, c in image.items()} for image in RAMANUJAN_D]
+    scale, images = _integer_images()
     a1 = {one: 1, (1, 0, 0): -1}  # 24 * A_1
     chain = [({one: 1}, 1), (a1, 24)][: k_max + 1]
     for k in range(2, k_max + 1):
@@ -337,92 +354,90 @@ def _candidate_difference(
 _RANK_PRIME = 2**31 - 1
 
 
+def _monomial_residues(basis: list[QMMonomial], order: int) -> list[QSeries]:
+    """`_monomial_series` mod `_RANK_PRIME`: each coefficient reduced to
+    0..p-1, by `_build_columns`.
+
+    A column is held with its packed form, coefficient n in slot n of one
+    int (`_certify.Slots`), so each product is one int multiplication.  A
+    slot of the product sums at most order + 1 products of two residues,
+    so slots never carry; the low order + 1 are read back and reduced.
+    """
+    from ._certify import Slots
+
+    slots = Slots(order + 1, order + 1)
+
+    def column(residues: list[int]) -> tuple[list[int], int]:
+        return residues, slots.pack(residues)
+
+    built = _build_columns(
+        basis,
+        column([1] + [0] * order),
+        lambda w: column([c % _RANK_PRIME for c in eisenstein(w, order).coeffs]),
+        lambda parent, g: column(slots.residues(parent[1] * g[1])),
+    )
+    return [QSeries._wrap(residues) for residues, _ in built]
+
+
 def window_ranks(columns: list[QSeries], sizes: list[int], order: int) -> list[int]:
-    """Rank modulo a prime of each solve window `decompose` would use.
+    """Rank modulo `_RANK_PRIME` of each solve window `decompose` would use.
 
     The window of basis size m holds coefficients 0.._solve_top(m, order) of the
-    first m of `columns` (integer series, in basis order); `sizes` ascend.
+    first m of `columns` (integer series, or their residues from
+    `_monomial_residues`, in basis order); `sizes` ascend.
     Rank mod p <= rank over Q, so a window of full rank here has exactly no
-    free column, as `decompose` would find it.  One elimination serves every
-    window: rows enter by exponent with the first nonzero column as pivot, so
-    after row t the pivots below column m count the rank of rows 0..t on the
-    first m columns, since a stored row with a later pivot is zero there.
+    free column, as `decompose` would find it.  `_certify.nested_ranks` does
+    one elimination for every window.
     """
-    p = _RANK_PRIME
-    width = len(columns)
-    # A row packs its entries into fixed slots of one int, column j in slot j.
-    # Stored rows hold -entry mod p, with -1 at the pivot.  An incoming row
-    # starts below p per slot and gains v * stored < p^2 per stored row, with
-    # v < p, so its slots stay below (width + 1) * p^2 and never carry; it is
-    # reduced mod p only once, after its elimination.
-    slot = (2 * p.bit_length() + (width + 1).bit_length() + 7) // 8
-    nbytes = slot * width
-    mask = (1 << 8 * slot) - 1
+    from ._certify import nested_ranks
 
-    def pack(values):
-        return int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in values), "little")
-
-    def reduced(row):
-        data = row.to_bytes(nbytes, "little")
-        return [int.from_bytes(data[i : i + slot], "little") % p for i in range(0, nbytes, slot)]
-
-    pivots: list[int] = []
-    stored: list[int] = []
-    ranks = []
-    n = 0
-    for m in sizes:
-        while n <= _solve_top(m, order):
-            row = pack([col.coeffs[n] % p for col in columns])
-            for pc, neg in zip(pivots, stored):
-                v = (row >> 8 * slot * pc & mask) % p
-                if v:
-                    row += v * neg
-            values = reduced(row)
-            lead = next((j for j, v in enumerate(values) if v), None)
-            if lead is not None:
-                inv = pow(values[lead], -1, p)
-                stored.append(pack([-v * inv % p for v in values]))
-                pivots.append(lead)
-            n += 1
-        ranks.append(sum(pc < m for pc in pivots))
-    return ranks
+    return nested_ranks(columns, [(m, _solve_top(m, order)) for m in sizes])
 
 
 def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict]:
     """Certify rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
     as polynomials in E2, E4, E6 of weight <= 2k: the paper's induction, as
-    four exact checks, with D = q d/dq:
+    four exact checks, with D = q d/dq and P_k = `recurrence_polynomials(k_max)[k]`:
 
     1. Ramanujan's identities D E_w = R_w(E2, E4, E6) from `RAMANUJAN_D`,
        for the w in 2, 4, 6 with w + 2 <= 2k_max (no step below takes D of a
        heavier generator);
-    2. A_1 of `recurrence_polynomials(k_max)`, the paper's (1 - E2)/24,
-       against rows[1];
+    2. P_1, the paper's (1 - E2)/24, against rows[1];
     3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} of
-       `gen_recurrence` on the rows, k = 2..k_max.  With 1 and 2, induction
-       makes each A_k some Q_k in Q[E2, E4, E6] of weight <= 2k;
-    4. `recurrence_polynomials(k_max)[k]` against rows[k] on the window
+       `gen_recurrence` on the rows, k = 2..k_max;
+    4. the same step on the polynomials, in the ring, with P_k of weight
+       <= 2k (`_certify.ring_step_holds`), k = 2..k_max.  Let S map a
+       polynomial to its series through `order`, a ring map.  D S and S D
+       agree on the generators by 1, and both are derivations, so they
+       agree on every polynomial; with 2 and 3, induction gives
+       S(P_k) = rows[k] through the whole order.  From the first k whose
+       ring step fails, P_k is instead pinned against rows[k] on the window
        `decompose` would solve, coefficients 0.._solve_top(m_k, order) for
-       the weight-2k basis of m_k monomials.  A window of full rank mod a
-       prime (`window_ranks`) has full rank over Q, so it pins that
-       polynomial to Q_k with no free column (`ambiguous` false); a window
-       short of it goes to `decompose`.
+       the weight-2k basis of m_k monomials, as is every later P_k, on
+       exact columns of weight <= 2k_max built then through the largest
+       window.
+
+    `ambiguous` reads the rank mod a prime of each such window
+    (`window_ranks` on `_monomial_residues`): a window of full rank mod p
+    has full rank over Q, so `decompose` would find P_k there with no free
+    column; a window short of it goes to `decompose`.
 
     Checks 1-3 run through `order`, the steps before any column is built,
     so their work does not add to the memory the columns hold.  Only the
-    columns checks 1 and 2 read (8 at most) are built through `order`, and
-    those of weight <= 2k_max only through the largest window.  Returns
-    (difference, details): difference is None when every check holds, else
-    the first failing check's (exponent, row coefficient, candidate value),
-    k by k, where a failing step's candidate is its numerator over
-    (2k+1) 2k, Q_k's value when the rows below k are right; details maps
-    each A_k certified before it to its weight bound, term count and
+    columns checks 1 and 2 read (8 at most) are built exactly through
+    `order`.  Returns (difference, details): difference is None when every
+    check holds, else the first failing check's (exponent, row coefficient,
+    candidate value), k by k, where a failing step's candidate is its
+    numerator over (2k+1) 2k, the A_k that the rows below k give; details
+    maps each A_k certified before it to its weight bound, term count and
     `ambiguous`.
     """
+    from ._certify import ring_step_holds
+
     k_max = len(rows) - 1
     polys = recurrence_polynomials(k_max)
     steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, k_max + 1))
-    # entry k is the check that puts A_k in the ring: 1 and 2 for k = 1, 3 above
+    # entry k is the series check on A_k: 1 and 2 for k = 1, 3 above
     differences = [None, None] + [
         _first_difference(numerator.coeffs, denominator, row)
         for (numerator, denominator), row in zip(steps, rows[2:])
@@ -436,16 +451,18 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
         derivative = columns[g].q_derivative()
         differences[1] = differences[1] or _candidate_difference(image, columns, derivative, order)
     differences[1] = differences[1] or _candidate_difference(polys[1], columns, rows[1], order)
-    columns = derivative = None  # hold no full-order series while the window columns are built
+    columns = derivative = None  # hold no full-order series while the residues are built
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
     windows = [_solve_top(m, order) for m in sizes]
-    window_columns = monomial_columns(2 * k_max, windows[-1])
-    ranks = window_ranks(list(window_columns.values()), sizes, order)
+    ranks = window_ranks(_monomial_residues(monomial_basis(2 * k_max), windows[-1]), sizes, order)
+    pinned = None  # the exact window columns, built once a ring step fails
     details: dict = {}
     for k in range(1, k_max + 1):
-        difference = differences[k] or _candidate_difference(
-            polys[k], window_columns, rows[k], windows[k - 1]
-        )
+        difference = differences[k]
+        if difference is None and pinned is None and k > 1 and not ring_step_holds(polys, k):
+            pinned = monomial_columns(2 * k_max, windows[-1])
+        if difference is None and pinned is not None:
+            difference = _candidate_difference(polys[k], pinned, rows[k], windows[k - 1])
         if difference is not None:
             return difference, details
         if ranks[k - 1] == sizes[k - 1]:

@@ -330,6 +330,24 @@ def test_gen_direct_beyond_feasible_rows_is_zero():
     assert gen_direct(Family.A, 10**6, 100) == QSeries.zero(100)
 
 
+def test_gen_direct_past_the_last_feasible_row_builds_no_row(monkeypatch):
+    # 62 is the last k with k(k+1)/2 <= 2000 and 44 the last with k^2 <= 2000;
+    # one past them the answer is zero before any row is built, where a
+    # capped table would build all 62 (44) feasible rows
+    built = []
+    direct_rows = macmahon._direct_rows
+
+    def spy(family, k, order):
+        built.append((family, k, order))
+        return direct_rows(family, k, order)
+
+    monkeypatch.setattr(macmahon, "_direct_rows", spy)
+    assert gen_direct(Family.A, 63, 2000) == QSeries.zero(2000)
+    assert gen_direct(Family.C, 45, 2000) == QSeries.zero(2000)
+    assert built == []
+    assert [macmahon._feasible_rows(f, 2000) for f in (Family.A, Family.C)] == [62, 44]
+
+
 # -- gen_explicit and gen_recurrence -------------------------------------------------
 
 

@@ -6,11 +6,12 @@ q dE2/dq = (E2^2 - E4)/12, giving 3/640 - E2/192 + E2^2/1152 - E4/2880; the
 same elimination yields a_{n,2} = (1/8 - n/4) sigma_1(n) + (1/8) sigma_3(n).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from qdiv import quasimodular, series
+from qdiv import _certify, quasimodular, series
 from qdiv.linalg import IncrementalSolver
 from qdiv.macmahon import Family, gen_direct, oracle_a
 from qdiv.quasimodular import (
@@ -299,6 +300,95 @@ def test_window_ranks_short_of_the_rational_rank():
     assert solve_window_rank([one, q], 2, 6) == 2
     e4 = eisenstein(4, 10)
     assert window_ranks([e4, e4, one], [1, 2, 3], 10) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_ranks_match_the_exact_rank_on_dependent_columns(seed):
+    # small random columns with zero columns, repeats and combinations of
+    # earlier ones, so pivots skip columns and windows fall short of full rank
+    rng = random.Random(8800 + seed)
+    order = rng.randint(8, 30)
+    columns = []
+    for _ in range(rng.randint(3, 14)):
+        kind = rng.random()
+        if columns and kind < 0.3:
+            a, b = rng.choice(columns), rng.choice(columns)
+            columns.append(rng.randint(-3, 3) * a + rng.randint(-3, 3) * b)
+        elif kind < 0.4:
+            columns.append(QSeries.zero(order))
+        else:
+            data = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(order + 1)]
+            columns.append(QSeries(data, order))
+    sizes = sorted(set(rng.randint(1, len(columns)) for _ in range(4)))
+    assert window_ranks(columns, sizes, order) == [
+        solve_window_rank(columns, m, min(m + 4, order)) for m in sizes
+    ]
+
+
+def test_monomial_residues_are_the_exact_columns_mod_p():
+    # seeded (weight, order) pairs, with the weight-24 basis through the
+    # largest window of the k_max = 12, order 400 suite
+    p = quasimodular._RANK_PRIME
+    rng = random.Random(2031)
+    pairs = [(24, 106), (0, 5), (2, 0)] + [
+        (2 * rng.randint(0, 12), rng.randint(1, 90)) for _ in range(5)
+    ]
+    for weight, order in pairs:
+        basis = monomial_basis(weight)
+        residues = quasimodular._monomial_residues(basis, order)
+        exact = quasimodular._monomial_series(basis, order)
+        assert [r.coeffs for r in residues] == [
+            tuple(c % p for c in col.coeffs) for col in exact
+        ], (weight, order)
+
+
+@pytest.mark.parametrize("k_max, order", [(12, 400), (18, 600)])
+def test_window_ranks_read_residues_as_exact_columns(k_max, order):
+    sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
+    top = min(sizes[-1] + 4, order)
+    basis = monomial_basis(2 * k_max)
+    residues = quasimodular._monomial_residues(basis, top)
+    exact = quasimodular._monomial_series(basis, top)
+    assert window_ranks(residues, sizes, order) == window_ranks(exact, sizes, order) == sizes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_q_derivative_is_d_on_the_series(seed):
+    # the derivation of RAMANUJAN_D, taken on seeded polynomials of weight
+    # <= 12 with Fraction coefficients, is q d/dq on their series: the
+    # property that lets certify_rows check the recurrence in the ring
+    rng = random.Random(5200 + seed)
+    basis = monomial_basis(12)
+    order = 60
+
+    def series_of(poly):
+        terms = {QMMonomial(*m): c for m, c in poly.items() if c}
+        return eval_decomposition(QMDecomposition(terms, 14, order), order)
+
+    for _ in range(4):
+        poly = {
+            m: Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            for m in rng.sample(basis, rng.randint(1, 12))
+        }
+        derivative = quasimodular._q_derivative(poly, RAMANUJAN_D)
+        assert series_of(derivative) == series_of(poly).q_derivative()
+
+
+def test_ring_step_holds_for_the_recurrence_polynomials_only():
+    polys = recurrence_polynomials(12)
+    assert all(_certify.ring_step_holds(polys, k) for k in range(2, 13))
+    for k, m, delta in [(2, QMMonomial(0, 0, 0), 1), (7, QMMonomial(0, 1, 1), Fraction(1, 7))]:
+        bumped = [dict(poly) for poly in polys]
+        bumped[k][m] = bumped[k].get(m, 0) + delta
+        # the bump breaks the step into k and the step out of it, no other
+        assert [_certify.ring_step_holds(bumped, j) for j in range(2, 13)] == [
+            j not in (k, k + 1) for j in range(2, 13)
+        ]
+    # a term above weight 2k fails the step even with coefficient zero
+    heavy = [dict(poly) for poly in polys]
+    heavy[3][QMMonomial(0, 0, 2)] = Fraction(0)
+    assert not _certify.ring_step_holds(heavy, 3)
+    assert _certify.ring_step_holds(heavy, 4)
 
 
 def test_recurrence_polynomials_preconditions():

@@ -329,6 +329,32 @@ def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
     assert r.first_mismatch.q_exponent <= len(monomial_basis(6)) + 4
 
 
+@pytest.mark.parametrize("delta", [3, Fraction(-2, 7)], ids=["int", "fraction"])
+@pytest.mark.parametrize("k", [2, 6], ids=["first-k", "k-max"])
+def test_corrupted_recurrence_polynomial_fails_the_suite_at_k(monkeypatch, k, delta):
+    # a wrong P_k breaks the ring step into k; from there the suite pins P_k
+    # on the window decompose would solve, and reports what that pin finds
+    k_max, order = 6, 120
+    polys = quasimodular.recurrence_polynomials
+    term = sorted(polys(k_max)[k])[1]
+
+    def corrupted(n):
+        found = polys(n)
+        found[k][term] += delta
+        return found
+
+    monkeypatch.setattr(quasimodular, "recurrence_polynomials", corrupted)
+    r = verify_quasimodularity(k_max, order)
+    window = quasimodular._solve_top(len(monomial_basis(2 * k)), order)
+    columns = monomial_columns(2 * k_max, order)
+    row = gen_direct(Family.A, k, order)
+    expected = quasimodular._candidate_difference(corrupted(k_max)[k], columns, row, window)
+    assert expected is not None
+    assert r.first_mismatch == Mismatch(None, *expected)
+    assert type(r.first_mismatch.rhs_coefficient) is type(expected[2])
+    assert list(r.details) == [f"A_{j}" for j in range(1, k)]
+
+
 def test_quasimodularity_checks_ramanujan_identities(monkeypatch):
     # D E6 is first taken in the step to A_4, so k_max 4 checks its identity,
     # which runs first and finds the wrong image E2*E6/2 - E4^2/3 at q^0,
@@ -381,19 +407,25 @@ def test_quasimodularity_checks_eisenstein_series_through_the_order(monkeypatch)
 
 
 def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypatch):
-    built = []
-    build = quasimodular._monomial_series
+    built, residues = [], []
+    build, reduce = quasimodular._monomial_series, quasimodular._monomial_residues
 
     def spy(basis, order):
         built.append((len(basis), order))
         return build(basis, order)
 
+    def residue_spy(basis, order):
+        residues.append((len(basis), order))
+        return reduce(basis, order)
+
     monkeypatch.setattr(quasimodular, "_monomial_series", spy)
+    monkeypatch.setattr(quasimodular, "_monomial_residues", residue_spy)
     assert verify_quasimodularity(12, 400).passed
-    # through the order only the 8 columns Ramanujan's identities and A_1
-    # read, the weight-24 columns only through the largest window, 102 + 4,
-    # and the C_1 probe's own two columns
-    assert built == [(8, 400), (102, 106), (2, 400)]
+    # exactly, only the 8 columns Ramanujan's identities and A_1 read,
+    # through the order, and the C_1 probe's own two columns; the weight-24
+    # columns only mod p, through the largest window, 102 + 4
+    assert built == [(8, 400), (2, 400)]
+    assert residues == [(102, 106)]
 
 
 @pytest.mark.parametrize("run, weights", [
