@@ -1,8 +1,10 @@
-"""The parts of the A_k certificate that only `quasimodular.certify_rows`
-and `quasimodular.window_ranks` run: the ring check of the paper's
-recurrence and packed arithmetic modulo `_RANK_PRIME`.  They import this
-module when they first run, so a command that certifies nothing, such as
-`coeffs`, never compiles it.
+"""The parts of the A_k certificate that only `quasimodular.certify_rows`,
+`quasimodular.window_ranks` and `qdiv decompose` run: the ring check of the
+paper's recurrence, the window ranks decided once (`K_FULL_RANK`), packed
+arithmetic modulo `_RANK_PRIME`, and `decompose_row`, which reads A_k's
+decomposition from the certificate.  They import this module when they
+first run, so a command that certifies nothing, such as `coeffs`, never
+compiles it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,37 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 
-from .quasimodular import _RANK_PRIME, _integer_images, _mul, _q_derivative
+from .macmahon import Family, _direct_table, gen_direct
+from .quasimodular import (
+    _RANK_PRIME,
+    QMDecomposition,
+    _integer_images,
+    _monomial_residues,
+    _mul,
+    _q_derivative,
+    _solve_top,
+    certify_rows,
+    check_basis_size,
+    decompose,
+    monomial_basis,
+    recurrence_polynomials,
+    window_ranks,
+)
+
+# Every window of the weight-2k basis with k <= K_FULL_RANK has full rank
+# mod _RANK_PRIME, hence over Q.  Once m_k + 4 <= order, that window is
+# coefficients 0..m_k + 4 of the basis's m_k monomials (`_solve_top`): a
+# fixed integer matrix, the same at every order and for every target.  The
+# tests recompute it with `window_ranks` on `_monomial_residues`.  29 is the
+# deepest k the basis-size rule accepts at order 2000 (m_29 = 950).
+K_FULL_RANK = 29
+
+
+def full_rank_known(k: int, size: int, order: int) -> bool:
+    """Whether K_FULL_RANK decides that the windows of the weight-2j bases,
+    j <= k, have full rank: k is at most K_FULL_RANK and the largest window,
+    of `size` monomials, is not cut at `order`."""
+    return k <= K_FULL_RANK and _solve_top(size, order) == size + 4
 
 
 def _numerators(poly: dict) -> tuple[dict, int]:
@@ -145,3 +177,44 @@ def nested_ranks(columns: list, windows: list[tuple[int, int]]) -> list[int]:
             n += 1
         ranks.append(bisect_left(pivots, m))
     return ranks
+
+
+def decompose_row(k: int, weight_bound: int, order: int, solve=decompose) -> QMDecomposition:
+    """`decompose` of A_k, the row k of the defining sum through `order`, at
+    `weight_bound`, with `solve` (`decompose` or a wrapper of it) for what
+    the certificate does not decide.
+
+    For weight_bound >= 2k, let P_k = recurrence_polynomials(k)[k].  When
+    the window `decompose` solves has full rank (by `full_rank_known`, else
+    ranked mod p), every ring step to P_k holds and `certify_rows` passes on
+    rows 0..k, the induction gives S(P_k) = A_k through `order`.  (Past a
+    failing ring step `certify_rows` pins P_k on its window only, so the
+    steps are checked here.)  So P_k, padded with zeros, solves the window,
+    as its only solution: it is what `decompose` finds, with no free
+    column, and its check through `order` holds.  Every other case goes to
+    `solve`, including weight_bound < 2k, where `decompose` finds no
+    solution.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    check_basis_size(weight_bound, order)
+    if weight_bound >= 2 * k:
+        rows = _direct_table(Family.A, k, order)  # the basis-size check leaves row k feasible
+        polys = recurrence_polynomials(k)
+        basis = monomial_basis(weight_bound)
+        size, top = len(basis), _solve_top(len(basis), order)
+        if (
+            (
+                full_rank_known(weight_bound // 2, size, order)
+                or window_ranks(_monomial_residues(basis, top), [size], order) == [size]
+            )
+            and all(ring_step_holds(polys, j) for j in range(2, k + 1))
+            and certify_rows(rows, order)[0] is None
+        ):
+            return QMDecomposition(
+                terms={m: polys[k][m] for m in basis if m in polys[k]},
+                weight_bound=weight_bound,
+                verified_order=order,
+                target_description=f"A_{k}",
+            )
+    return solve(gen_direct(Family.A, k, order), weight_bound, order, f"A_{k}")

@@ -10,9 +10,9 @@ holds" stay distinguishable.
 
 For A_k no solve is needed: `certify_rows` certifies the rows of the
 defining sum by the paper's induction, in series and in the polynomial
-ring, and its docstring states the four checks.  `_solve_top` states the
-window `decompose` solves; `certify_rows` ranks it mod a prime on columns
-built mod that prime, so its `ambiguous` is what a solve would find.
+ring, and its docstring states the four checks; `_certify.decompose_row`
+reads A_k's decomposition from it.  `_solve_top` states the window
+`decompose` solves.
 
 `fit_divisor_form` probes the related representation a_{n,k} =
 sum_j p_j(n) * sigma_{2j-1}(n) with polynomial weights p_j of bounded degree;
@@ -417,10 +417,9 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
        exact columns of weight <= 2k_max built then through the largest
        window.
 
-    `ambiguous` reads the rank mod a prime of each such window
-    (`window_ranks` on `_monomial_residues`): a window of full rank mod p
-    has full rank over Q, so `decompose` would find P_k there with no free
-    column; a window short of it goes to `decompose`.
+    `ambiguous` is false where such a window has full rank, known by
+    `_certify.full_rank_known` or ranked by `window_ranks` on
+    `_monomial_residues`; a window short of it goes to `decompose`.
 
     Checks 1-3 run through `order`, the steps before any column is built,
     so their work does not add to the memory the columns hold.  Only the
@@ -432,7 +431,7 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
     maps each A_k certified before it to its weight bound, term count and
     `ambiguous`.
     """
-    from ._certify import ring_step_holds
+    from ._certify import full_rank_known, ring_step_holds
 
     k_max = len(rows) - 1
     polys = recurrence_polynomials(k_max)
@@ -454,7 +453,9 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
     columns = derivative = None  # hold no full-order series while the residues are built
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
     windows = [_solve_top(m, order) for m in sizes]
-    ranks = window_ranks(_monomial_residues(monomial_basis(2 * k_max), windows[-1]), sizes, order)
+    ranks = sizes if full_rank_known(k_max, sizes[-1], order) else window_ranks(
+        _monomial_residues(monomial_basis(2 * k_max), windows[-1]), sizes, order
+    )
     pinned = None  # the exact window columns, built once a ring step fails
     details: dict = {}
     for k in range(1, k_max + 1):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import qdiv
-from qdiv import macmahon
+from qdiv import _certify, cli, macmahon
 from qdiv.cli import EXIT_INTERNAL, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
+from qdiv.macmahon import Family, gen_direct
+from qdiv.quasimodular import NoDecompositionError, decompose, monomial_basis
 from qdiv.series import run_scope
 from qdiv.verify import Mismatch, VerificationReport
 
@@ -229,6 +232,110 @@ def test_decompose_usage_errors(capsys):
     assert rc == EXIT_USAGE  # csv applies only to coefficient tables
 
 
+def decompose_both_ways(capsys, monkeypatch, argv):
+    """(rc, out) of `decompose` for text and JSON, as run and then with the
+    certificate made to fail, so that every answer comes from the exact solve."""
+    runs = []
+    for failing in (False, True):
+        if failing:
+            monkeypatch.setattr(_certify, "certify_rows", lambda rows, order: ((0, 0, 0), {}))
+        runs.append([run(capsys, ["decompose", *argv, "--format", fmt])[:2]
+                     for fmt in ("text", "json")])
+    monkeypatch.undo()
+    return runs
+
+
+def spy_solves(monkeypatch):
+    """Descriptions of the targets `decompose` solves exactly from the CLI."""
+    solved = []
+
+    def spy(target, weight_bound, order, description=""):
+        solved.append(description)
+        return decompose(target, weight_bound, order, description)
+
+    monkeypatch.setattr(cli, "decompose", spy)
+    return solved
+
+
+def test_decompose_reads_the_certificate_as_the_solve_would(capsys, monkeypatch):
+    # seeded (k, weight bound >= 2k, order) that the basis-size rule accepts:
+    # the certificate's P_k is the solve's answer, byte for byte
+    rng = random.Random(2021)
+    grid = [(6, 12, 60), (5, 18, 200)]
+    while len(grid) < 10:
+        k = rng.randint(1, 6)
+        weight_bound = 2 * k + 2 * rng.randint(0, 4)
+        least = 2 * len(monomial_basis(weight_bound))
+        if least <= 200:
+            grid.append((k, weight_bound, rng.randint(least, 200)))
+    for k, weight_bound, order in grid:
+        argv = ["--k", str(k), "--weight-bound", str(weight_bound), "--order", str(order)]
+        solved = spy_solves(monkeypatch)
+        certified, exact = decompose_both_ways(capsys, monkeypatch, argv)
+        assert certified == exact, argv
+        assert all(rc == EXIT_OK for rc, _ in certified), argv
+        assert solved == [f"A_{k}"] * 2, argv  # only the exact runs solved
+
+
+def test_decompose_below_weight_2k_solves_to_the_witness(capsys, monkeypatch):
+    # no decomposition exists: the certificate is not run, and the solve's
+    # exit-3 witness is reported as before
+    solved = spy_solves(monkeypatch)
+    certify = []
+    monkeypatch.setattr(_certify, "certify_rows", lambda *a: certify.append(a))
+    rc, out, _ = run(capsys, ["decompose", "--k", "3", "--weight-bound", "4",
+                              "--order", "60", "--format", "json"])
+    assert rc == EXIT_NO_SOLUTION
+    with pytest.raises(NoDecompositionError) as info:
+        decompose(gen_direct(Family.A, 3, 60), 4, 60)
+    assert json.loads(out)["witness_exponent"] == info.value.exponent
+    assert solved == ["A_3"] and certify == []
+
+
+def test_decompose_window_cut_at_the_order_is_ranked(capsys, monkeypatch):
+    # at order 4 the weight-2 window stops at q^4, short of m + 4 = 6, so
+    # K_FULL_RANK does not decide it: its rank is computed
+    ranked = []
+    window_ranks = _certify.window_ranks
+
+    def spy(columns, sizes, order):
+        ranked.append((len(columns), sizes, order))
+        return window_ranks(columns, sizes, order)
+
+    monkeypatch.setattr(_certify, "window_ranks", spy)
+    solved = spy_solves(monkeypatch)
+    certified, exact = decompose_both_ways(capsys, monkeypatch, ["--k", "1", "--order", "4"])
+    # each run ranks the window; only the runs with a failing certificate solve
+    assert ranked == [(2, [2], 4)] * 4 and solved == ["A_1"] * 2
+    assert certified == exact and certified[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("certify_rows", lambda rows, order: ((0, 1, 2), {})),
+    ("ring_step_holds", lambda polys, k: k != 4),
+    ("window_ranks", lambda columns, sizes, order: [m - 1 for m in sizes]),
+], ids=["certificate", "ring-step", "window-rank"])
+def test_decompose_falls_back_to_the_solve(capsys, monkeypatch, name, failing):
+    # a failing certificate, a ring step that does not hold, or a window
+    # short of full rank (ranked live once K_FULL_RANK decides nothing):
+    # the answer is the exact solve's, as it would have been
+    argv = ["decompose", "--k", "5", "--weight-bound", "12", "--order", "120",
+            "--format", "json"]
+    certified = run(capsys, argv)[:2]
+    solved = spy_solves(monkeypatch)
+    monkeypatch.setattr(_certify, name, failing)
+    monkeypatch.setattr(_certify, "K_FULL_RANK", 0)
+    assert run(capsys, argv)[:2] == certified
+    assert certified[0] == EXIT_OK and solved == ["A_5"]
+
+
+def test_decompose_row_refuses_what_decompose_refuses():
+    with pytest.raises(ValueError, match="k must be"):
+        _certify.decompose_row(0, 2, 20)
+    with pytest.raises(ValueError, match="too small"):
+        _certify.decompose_row(3, 6, 10)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "quasimodular", "--k-max", "500", "--order", "100"],
     ["decompose", "--k", "1", "--order", "100", "--weight-bound", "1000"],
@@ -285,6 +392,18 @@ def test_verify_quasimodular_deep_finishes_in_seconds():
                       "--order", "600"], timeout=30)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.startswith("PASS quasimodularity [k_max=18 order=600]")
+
+
+def test_decompose_deepest_row_finishes_in_seconds():
+    # A_29 over the weight-58 basis of 950 monomials, the largest accepted at
+    # the default order cap, read from the certificate (an exact solve of
+    # that size takes minutes)
+    proc = run_fresh(["decompose", "--k", "29", "--order", "2000", "--format", "json"],
+                     timeout=30)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert len(obj["terms"]) == 950 and obj["ambiguous"] is False
+    assert obj["verified_order"] == 2000
 
 
 def test_verify_all_small(capsys):

@@ -352,6 +352,22 @@ def test_window_ranks_read_residues_as_exact_columns(k_max, order):
     assert window_ranks(residues, sizes, order) == window_ranks(exact, sizes, order) == sizes
 
 
+def windows_of_full_rank(k_max):
+    """Whether every window of the weight-2k basis, k <= k_max, has full rank
+    mod p, ranked live at the order where none is cut, m_k_max + 4."""
+    sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
+    top = sizes[-1] + 4
+    residues = quasimodular._monomial_residues(monomial_basis(2 * k_max), top)
+    return window_ranks(residues, sizes, top) == sizes
+
+
+def test_full_rank_constant_holds_through_k_18():
+    # the windows K_FULL_RANK decides, recomputed as far as tier-1 affords;
+    # CI recomputes them through K_FULL_RANK itself
+    assert _certify.K_FULL_RANK >= 18
+    assert windows_of_full_rank(18)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_q_derivative_is_d_on_the_series(seed):
     # the derivation of RAMANUJAN_D, taken on seeded polynomials of weight

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdiv import linalg, macmahon, quasimodular, series, verify
+from qdiv import _certify, linalg, macmahon, quasimodular, series, verify
 from qdiv.macmahon import Family, gen_direct, gen_explicit
 from qdiv.quasimodular import (
     RAMANUJAN_D, DivisorFitResult, QMDecomposition, QMMonomial, monomial_basis,
@@ -241,10 +241,11 @@ def test_quasimodularity_solves_only_the_c1_probe(monkeypatch):
 
 def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
     clean = verify_quasimodularity(4, 100).to_json_obj()
-    solved = []
+    solved, ranked = [], []
     ranks, decompose = quasimodular.window_ranks, quasimodular.decompose
 
     def short(columns, sizes, order):
+        ranked.append(sizes)
         found = ranks(columns, sizes, order)
         found[2] -= 1  # A_3's window
         return found
@@ -256,6 +257,12 @@ def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
     monkeypatch.setattr(quasimodular, "window_ranks", short)
     monkeypatch.setattr(quasimodular, "decompose", spy)
     monkeypatch.setattr(verify, "decompose", spy)  # the C_1 probe
+    # K_FULL_RANK decides every window to A_4: none is ranked or solved
+    assert verify_quasimodularity(4, 100).passed
+    assert ranked == [] and solved == ["C_1"]
+    # the live path ranks them, and solves the one short of full rank
+    monkeypatch.setattr(_certify, "K_FULL_RANK", 0)
+    solved.clear()
     r = verify_quasimodularity(4, 100).to_json_obj()
     assert solved == ["A_3", "C_1"]
     for obj in (clean, r):
@@ -422,8 +429,15 @@ def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypa
     monkeypatch.setattr(quasimodular, "_monomial_residues", residue_spy)
     assert verify_quasimodularity(12, 400).passed
     # exactly, only the 8 columns Ramanujan's identities and A_1 read,
-    # through the order, and the C_1 probe's own two columns; the weight-24
-    # columns only mod p, through the largest window, 102 + 4
+    # through the order, and the C_1 probe's own two columns; K_FULL_RANK
+    # decides the windows, so no column is built mod p
+    assert built == [(8, 400), (2, 400)]
+    assert residues == []
+    # on the live path, the weight-24 columns only mod p, through the
+    # largest window, 102 + 4
+    monkeypatch.setattr(_certify, "K_FULL_RANK", 0)
+    built.clear()
+    assert verify_quasimodularity(12, 400).passed
     assert built == [(8, 400), (2, 400)]
     assert residues == [(102, 106)]
 
