@@ -1,10 +1,11 @@
 """The parts of the A_k certificate that only `quasimodular.certify_rows`,
 `quasimodular.window_ranks` and `qdiv decompose` run: the ring check of the
-paper's recurrence, the window ranks decided once (`K_FULL_RANK`), packed
-arithmetic modulo `_RANK_PRIME`, and `decompose_row`, which reads A_k's
-decomposition from the certificate.  They import this module when they
-first run, so a command that certifies nothing, such as `coeffs`, never
-compiles it.
+paper's recurrence, the rule that ranks a basis's solve windows
+(`basis_ranks`: decided once by `K_FULL_RANK`, else ranked with packed
+arithmetic modulo `_RANK_PRIME`), and `decompose_row`, which reads A_k's
+decomposition from the polynomials `certify_rows` proves.  They import
+this module when they first run, so a command that certifies nothing,
+such as `coeffs`, never compiles it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .quasimodular import (
     check_basis_size,
     decompose,
     monomial_basis,
-    recurrence_polynomials,
     window_ranks,
 )
 
@@ -40,11 +40,18 @@ from .quasimodular import (
 K_FULL_RANK = 29
 
 
-def full_rank_known(k: int, size: int, order: int) -> bool:
-    """Whether K_FULL_RANK decides that the windows of the weight-2j bases,
-    j <= k, have full rank: k is at most K_FULL_RANK and the largest window,
-    of `size` monomials, is not cut at `order`."""
-    return k <= K_FULL_RANK and _solve_top(size, order) == size + 4
+def basis_ranks(weight: int, sizes: list[int], order: int) -> list[int]:
+    """Rank mod `_RANK_PRIME` of the window `decompose` solves for each
+    weight-2j basis of m monomials, m in `sizes` (ascending), 2j <= `weight`.
+
+    K_FULL_RANK decides them, as `sizes`, when weight <= 2 K_FULL_RANK and
+    the largest window is not cut at `order`; else `window_ranks` ranks
+    them on `_monomial_residues` of the weight-`weight` basis.
+    """
+    top = _solve_top(sizes[-1], order)
+    if weight <= 2 * K_FULL_RANK and top == sizes[-1] + 4:
+        return sizes
+    return window_ranks(_monomial_residues(monomial_basis(weight), top), sizes, order)
 
 
 def _numerators(poly: dict) -> tuple[dict, int]:
@@ -184,35 +191,24 @@ def decompose_row(k: int, weight_bound: int, order: int, solve=decompose) -> QMD
     `weight_bound`, with `solve` (`decompose` or a wrapper of it) for what
     the certificate does not decide.
 
-    For weight_bound >= 2k, let P_k = recurrence_polynomials(k)[k].  When
-    the window `decompose` solves has full rank (by `full_rank_known`, else
-    ranked mod p), every ring step to P_k holds and `certify_rows` passes on
-    rows 0..k, the induction gives S(P_k) = A_k through `order`.  (Past a
-    failing ring step `certify_rows` pins P_k on its window only, so the
-    steps are checked here.)  So P_k, padded with zeros, solves the window,
-    as its only solution: it is what `decompose` finds, with no free
-    column, and its check through `order` holds.  Every other case goes to
-    `solve`, including weight_bound < 2k, where `decompose` finds no
-    solution.
+    For weight_bound >= 2k, `certify_rows` on rows 0..k proves S(P_k) = A_k
+    through `order` when P_k is among the polynomials it returns as proved.
+    When the window `decompose` solves at weight_bound also has full rank
+    (`basis_ranks`), P_k, padded with zeros, solves that window as its only
+    solution: it is what `decompose` finds, with no free column, and its
+    check through `order` holds.  Every other case goes to `solve`,
+    including weight_bound < 2k, where `decompose` finds no solution.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     check_basis_size(weight_bound, order)
     if weight_bound >= 2 * k:
         rows = _direct_table(Family.A, k, order)  # the basis-size check leaves row k feasible
-        polys = recurrence_polynomials(k)
+        proved = certify_rows(rows, order)[2]
         basis = monomial_basis(weight_bound)
-        size, top = len(basis), _solve_top(len(basis), order)
-        if (
-            (
-                full_rank_known(weight_bound // 2, size, order)
-                or window_ranks(_monomial_residues(basis, top), [size], order) == [size]
-            )
-            and all(ring_step_holds(polys, j) for j in range(2, k + 1))
-            and certify_rows(rows, order)[0] is None
-        ):
+        if k < len(proved) and basis_ranks(weight_bound, [len(basis)], order) == [len(basis)]:
             return QMDecomposition(
-                terms={m: polys[k][m] for m in basis if m in polys[k]},
+                terms={m: proved[k][m] for m in basis if m in proved[k]},
                 weight_bound=weight_bound,
                 verified_order=order,
                 target_description=f"A_{k}",

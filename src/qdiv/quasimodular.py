@@ -139,8 +139,8 @@ def check_basis_size(weight_bound: int, order: int) -> None:
     if monomial_count(weight_bound, order // 2) > order // 2:
         raise ValueError(
             f"order {order} too small: the weight-{weight_bound} basis has more "
-            f"than {order // 2} monomials, and the system needs at least twice "
-            "the basis size to be overdetermined"
+            f"monomials than order // 2 = {order // 2}, and the system needs at "
+            "least twice the basis size to be overdetermined"
         )
 
 
@@ -394,7 +394,7 @@ def window_ranks(columns: list[QSeries], sizes: list[int], order: int) -> list[i
     return nested_ranks(columns, [(m, _solve_top(m, order)) for m in sizes])
 
 
-def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict]:
+def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict, list]:
     """Certify rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
     as polynomials in E2, E4, E6 of weight <= 2k: the paper's induction, as
     four exact checks, with D = q d/dq and P_k = `recurrence_polynomials(k_max)[k]`:
@@ -417,21 +417,22 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
        exact columns of weight <= 2k_max built then through the largest
        window.
 
-    `ambiguous` is false where such a window has full rank, known by
-    `_certify.full_rank_known` or ranked by `window_ranks` on
-    `_monomial_residues`; a window short of it goes to `decompose`.
+    `ambiguous` is false where such a window has full rank, by
+    `_certify.basis_ranks`; a window short of it goes to `decompose`.
 
     Checks 1-3 run through `order`, the steps before any column is built,
     so their work does not add to the memory the columns hold.  Only the
     columns checks 1 and 2 read (8 at most) are built exactly through
-    `order`.  Returns (difference, details): difference is None when every
-    check holds, else the first failing check's (exponent, row coefficient,
-    candidate value), k by k, where a failing step's candidate is its
-    numerator over (2k+1) 2k, the A_k that the rows below k give; details
-    maps each A_k certified before it to its weight bound, term count and
-    `ambiguous`.
+    `order`.  Returns (difference, details, proved): difference is None when
+    every check holds, else the first failing check's (exponent, row
+    coefficient, candidate value), k by k, where a failing step's candidate
+    is its numerator over (2k+1) 2k, the A_k that the rows below k give;
+    details maps each A_k certified before it to its weight bound, term
+    count and `ambiguous`; proved is the prefix P_0..P_j that the checks
+    carry onto the rows through the whole order: every P_k, or those below
+    the first k where a check fails or a ring step fails and the pin takes over.
     """
-    from ._certify import full_rank_known, ring_step_holds
+    from ._certify import basis_ranks, ring_step_holds
 
     k_max = len(rows) - 1
     polys = recurrence_polynomials(k_max)
@@ -453,29 +454,27 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
     columns = derivative = None  # hold no full-order series while the residues are built
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
     windows = [_solve_top(m, order) for m in sizes]
-    ranks = sizes if full_rank_known(k_max, sizes[-1], order) else window_ranks(
-        _monomial_residues(monomial_basis(2 * k_max), windows[-1]), sizes, order
-    )
-    pinned = None  # the exact window columns, built once a ring step fails
+    ranks = basis_ranks(2 * k_max, sizes, order)
+    pinned, proved = None, polys  # pinned: the exact window columns, once a ring step fails
     details: dict = {}
     for k in range(1, k_max + 1):
         difference = differences[k]
         if difference is None and pinned is None and k > 1 and not ring_step_holds(polys, k):
-            pinned = monomial_columns(2 * k_max, windows[-1])
+            pinned, proved = monomial_columns(2 * k_max, windows[-1]), polys[:k]
         if difference is None and pinned is not None:
             difference = _candidate_difference(polys[k], pinned, rows[k], windows[k - 1])
         if difference is not None:
-            return difference, details
+            return difference, details, proved[:k]
         if ranks[k - 1] == sizes[k - 1]:
             terms, ambiguous = len(polys[k]), False
         else:
             try:
                 dec = decompose(rows[k], 2 * k, order, description=f"A_{k}")
             except NoDecompositionError as e:
-                return (e.exponent, e.lhs, e.rhs), details
+                return (e.exponent, e.lhs, e.rhs), details, proved[:k]
             terms, ambiguous = len(dec.terms), dec.ambiguous
         details[f"A_{k}"] = {"weight_bound": 2 * k, "terms": terms, "ambiguous": ambiguous}
-    return None, details
+    return None, details, proved
 
 
 class DivisorFitResult(NamedTuple):

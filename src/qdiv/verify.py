@@ -328,7 +328,7 @@ def verify_quasimodularity(
     # the basis-size check leaves every A_k with k <= k_max feasible
     rows = _direct_table(Family.A, k_max, order)
     rows = [_tap(row, f"A_{k}", perturb) for k, row in enumerate(rows)]
-    difference, details = certify_rows(rows, order)
+    difference, details = certify_rows(rows, order)[:2]
     mismatch = None if difference is None else Mismatch(None, *difference)
     if mismatch is None:
         try:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qdiv
-from qdiv import _certify, cli, macmahon
+from qdiv import _certify, cli, macmahon, quasimodular
 from qdiv.cli import EXIT_INTERNAL, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from qdiv.macmahon import Family, gen_direct
 from qdiv.quasimodular import NoDecompositionError, decompose, monomial_basis
@@ -58,6 +58,9 @@ def test_import_loads_only_the_standard_library():
     # records are named tuples and traceback is loaded only on failure, so
     # no start-up pays for the dataclasses -> inspect chain
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}.isdisjoint(out)
+    # the certificate's helpers and Newton's row builder load when first
+    # run, so a command compiles neither unless it runs it
+    assert {"qdiv._certify", "qdiv._newton"}.isdisjoint(out)
     outside = [
         name for name in out
         if name != "qdiv" and not name.startswith("qdiv.")
@@ -227,6 +230,10 @@ def test_decompose_usage_errors(capsys):
     rc, _, err = run(capsys, ["decompose", "--k", "3", "--order", "10"])
     assert rc == EXIT_USAGE
     assert "too small" in err
+    rc, _, err = run(capsys, ["decompose", "--k", "3", "--weight-bound", "4",
+                              "--order", "3"])
+    assert rc == EXIT_USAGE
+    assert "too small" in err and "more monomials than order // 2 = 1," in err
     rc, _, _ = run(capsys, ["decompose", "--k", "1", "--order", "50",
                             "--format", "csv"])
     assert rc == EXIT_USAGE  # csv applies only to coefficient tables
@@ -238,7 +245,7 @@ def decompose_both_ways(capsys, monkeypatch, argv):
     runs = []
     for failing in (False, True):
         if failing:
-            monkeypatch.setattr(_certify, "certify_rows", lambda rows, order: ((0, 0, 0), {}))
+            monkeypatch.setattr(_certify, "certify_rows", lambda rows, order: ((0, 0, 0), {}, []))
         runs.append([run(capsys, ["decompose", *argv, "--format", fmt])[:2]
                      for fmt in ("text", "json")])
     monkeypatch.undo()
@@ -311,7 +318,7 @@ def test_decompose_window_cut_at_the_order_is_ranked(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name, failing", [
-    ("certify_rows", lambda rows, order: ((0, 1, 2), {})),
+    ("certify_rows", lambda rows, order: ((0, 1, 2), {}, [])),
     ("ring_step_holds", lambda polys, k: k != 4),
     ("window_ranks", lambda columns, sizes, order: [m - 1 for m in sizes]),
 ], ids=["certificate", "ring-step", "window-rank"])
@@ -327,6 +334,35 @@ def test_decompose_falls_back_to_the_solve(capsys, monkeypatch, name, failing):
     monkeypatch.setattr(_certify, "K_FULL_RANK", 0)
     assert run(capsys, argv)[:2] == certified
     assert certified[0] == EXIT_OK and solved == ["A_5"]
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["decompose", "--k", "12", "--order", "400"], 11),
+    (["decompose", "--k", "8", "--weight-bound", "20", "--order", "300"], 7),
+    (["verify", "--suite", "quasimodular", "--k-max", "12", "--order", "400"], 11),
+], ids=["decompose-k12", "decompose-wb20", "verify-k12"])
+def test_each_command_proves_the_recurrence_once(capsys, monkeypatch, argv, steps):
+    # one certificate per command: the recurrence polynomials are derived
+    # once, under whichever name a module of the package holds them, and
+    # each ring step to the deepest k is checked once
+    calls = {"polynomials": 0, "steps": 0}
+    polys, ring_step = quasimodular.recurrence_polynomials, _certify.ring_step_holds
+
+    def count_polys(k_max):
+        calls["polynomials"] += 1
+        return polys(k_max)
+
+    def count_steps(found, k):
+        calls["steps"] += 1
+        return ring_step(found, k)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "recurrence_polynomials", None)
+        if name.partition(".")[0] == "qdiv" and held is polys:
+            monkeypatch.setattr(module, "recurrence_polynomials", count_polys)
+    monkeypatch.setattr(_certify, "ring_step_holds", count_steps)
+    assert run(capsys, argv)[0] == EXIT_OK
+    assert calls == {"polynomials": 1, "steps": steps}
 
 
 def test_decompose_row_refuses_what_decompose_refuses():

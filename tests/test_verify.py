@@ -254,7 +254,7 @@ def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
         solved.append(description)
         return decompose(target, weight_bound, order, description)
 
-    monkeypatch.setattr(quasimodular, "window_ranks", short)
+    monkeypatch.setattr(_certify, "window_ranks", short)
     monkeypatch.setattr(quasimodular, "decompose", spy)
     monkeypatch.setattr(verify, "decompose", spy)  # the C_1 probe
     # K_FULL_RANK decides every window to A_4: none is ranked or solved
@@ -275,7 +275,7 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
     # the C_1 probe and the report
     k_max, order = 5, 100
     clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
-    difference, details = quasimodular.certify_rows(clean, order)
+    difference, details, _ = quasimodular.certify_rows(clean, order)
     report = verify_quasimodularity(k_max, order)
     assert difference is None
     assert details == {key: v for key, v in report.details.items() if key != "C_1_probe"}
@@ -283,11 +283,30 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
     for k, exponent, delta in [(1, 40, 1), (3, 5, -3), (5, 90, Fraction(1, 7))]:
         p = Perturbation(f"A_{k}", exponent, delta)
         rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
-        difference, details = quasimodular.certify_rows(rows, order)
+        difference, details, _ = quasimodular.certify_rows(rows, order)
         report = verify_quasimodularity(k_max, order, perturb=p)
         assert Mismatch(None, *difference) == report.first_mismatch, p
         assert details == report.details, p
         assert list(details) == [f"A_{j}" for j in range(1, k)], p
+
+
+def test_certify_rows_returns_the_polynomials_it_carries_through_the_order(monkeypatch):
+    # every P_k on clean rows; past a failing check, or a failing ring step
+    # that the window pin takes over, only the P_k below it
+    k_max, order = 5, 100
+    polys = recurrence_polynomials(k_max)
+    clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
+    assert quasimodular.certify_rows(clean, order)[2] == polys
+    p = Perturbation("A_3", 5, -3)
+    rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
+    difference, _, proved = quasimodular.certify_rows(rows, order)
+    assert difference is not None and proved == polys[:3]
+    ring_step = _certify.ring_step_holds
+    monkeypatch.setattr(
+        _certify, "ring_step_holds", lambda found, k: k != 4 and ring_step(found, k)
+    )
+    difference, _, proved = quasimodular.certify_rows(clean, order)
+    assert difference is None and proved == polys[:4]
 
 
 def full_order_mismatch(k_max, order, columns, perturb):
@@ -426,7 +445,7 @@ def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypa
         return reduce(basis, order)
 
     monkeypatch.setattr(quasimodular, "_monomial_series", spy)
-    monkeypatch.setattr(quasimodular, "_monomial_residues", residue_spy)
+    monkeypatch.setattr(_certify, "_monomial_residues", residue_spy)
     assert verify_quasimodularity(12, 400).passed
     # exactly, only the 8 columns Ramanujan's identities and A_1 read,
     # through the order, and the C_1 probe's own two columns; K_FULL_RANK
