@@ -1,11 +1,19 @@
-"""The parts of the A_k certificate that only `quasimodular.certify_rows`,
-`quasimodular.window_ranks` and `qdiv decompose` run: the ring check of the
-paper's recurrence, the rule that ranks a basis's solve windows
-(`basis_ranks`: decided once by `K_FULL_RANK`, else ranked with packed
-arithmetic modulo `_RANK_PRIME`), and `decompose_row`, which reads A_k's
-decomposition from the polynomials `certify_rows` proves.  They import
-this module when they first run, so a command that certifies nothing,
-such as `coeffs`, never compiles it.
+"""The A_k certificate: the paper's induction, carried into Q[E2, E4, E6].
+
+`recurrence_polynomials` derives A_0..A_k as polynomials in E2, E4, E6 by
+the paper's recurrence and Ramanujan's identities (`RAMANUJAN_D`), with no
+linear algebra.  `certify_rows` carries them onto the rows of the defining
+sum through the whole order, by the four checks its docstring states, and
+`decompose_row` reads A_k's decomposition from what it proves.  A proved
+polynomial is what `decompose` would find when the window it solves has
+full rank; one rule, `basis_ranks`, decides that: by the constant
+`K_FULL_RANK`, else by `window_ranks`, with packed arithmetic modulo
+`_RANK_PRIME`.
+
+The exact path's rules stay in `quasimodular`: the solve window
+`_solve_top`, the column build `_monomial_series` and the fallback
+`decompose` are read through that module when they run, so the
+certificate follows the rules the exact path states.
 """
 
 from __future__ import annotations
@@ -14,44 +22,95 @@ import math
 import struct
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
+from typing import Optional
 
-from .macmahon import Family, _direct_table, gen_direct
+from . import quasimodular
+from .macmahon import Family, _direct_table, _recurrence_step, gen_direct
 from .quasimodular import (
-    _RANK_PRIME,
+    NoDecompositionError,
     QMDecomposition,
-    _integer_images,
-    _monomial_residues,
-    _mul,
-    _q_derivative,
-    _solve_top,
-    certify_rows,
+    QMMonomial,
+    _build_columns,
+    _first_difference,
+    _integer_combination,
     check_basis_size,
-    decompose,
     monomial_basis,
-    window_ranks,
+    monomial_columns,
+)
+from .series import QSeries
+
+# Ramanujan (1916): D = q d/dq maps each generator into the ring,
+# D E2 = (E2^2 - E4)/12, D E4 = (E2*E4 - E6)/3 and D E6 = (E2*E6 - E4^2)/2,
+# each as {exponents (a, b, c) of E2^a * E4^b * E6^c: coefficient}.
+RAMANUJAN_D = (
+    {(2, 0, 0): Fraction(1, 12), (0, 1, 0): Fraction(-1, 12)},
+    {(1, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(-1, 3)},
+    {(1, 0, 1): Fraction(1, 2), (0, 2, 0): Fraction(-1, 2)},
 )
 
-# Every window of the weight-2k basis with k <= K_FULL_RANK has full rank
-# mod _RANK_PRIME, hence over Q.  Once m_k + 4 <= order, that window is
-# coefficients 0..m_k + 4 of the basis's m_k monomials (`_solve_top`): a
-# fixed integer matrix, the same at every order and for every target.  The
-# tests recompute it with `window_ranks` on `_monomial_residues`.  29 is the
-# deepest k the basis-size rule accepts at order 2000 (m_29 = 950).
-K_FULL_RANK = 29
+
+def _mul(f: dict, g: dict) -> Counter:
+    """Product of two polynomials {(a, b, c): coefficient}."""
+    out: Counter = Counter()
+    for (a, b, c), u in f.items():
+        for (x, y, z), v in g.items():
+            out[a + x, b + y, c + z] += u * v
+    return out
 
 
-def basis_ranks(weight: int, sizes: list[int], order: int) -> list[int]:
-    """Rank mod `_RANK_PRIME` of the window `decompose` solves for each
-    weight-2j basis of m monomials, m in `sizes` (ascending), 2j <= `weight`.
+def _q_derivative(poly: dict, images: list) -> Counter:
+    """D applied to {(a, b, c): coefficient} as a derivation, with D of the
+    generators E2, E4, E6 read from `images`, in RAMANUJAN_D's form."""
+    out: Counter = Counter()
+    for exps, coeff in poly.items():
+        for i, e in enumerate(exps):
+            if e:
+                a, b, c = (f - (j == i) for j, f in enumerate(exps))  # one E_{2i+2} fewer
+                for (x, y, z), v in images[i].items():
+                    out[a + x, b + y, c + z] += e * coeff * v
+    return out
 
-    K_FULL_RANK decides them, as `sizes`, when weight <= 2 K_FULL_RANK and
-    the largest window is not cut at `order`; else `window_ranks` ranks
-    them on `_monomial_residues` of the weight-`weight` basis.
+
+def _integer_images() -> tuple[int, list[dict]]:
+    """(s, the images of s*D): s = 12 is the lcm of 4 and the denominators
+    of RAMANUJAN_D, so s*D maps each generator to integer coefficients."""
+    scale = math.lcm(4, *(c.denominator for image in RAMANUJAN_D for c in image.values()))
+    return scale, [{e: int(scale * c) for e, c in image.items()} for image in RAMANUJAN_D]
+
+
+def recurrence_polynomials(k_max: int) -> list[dict[QMMonomial, Fraction]]:
+    """A_0..A_{k_max} as polynomials in E2, E4, E6, with no linear algebra.
+
+    A_0 = 1, A_1 = (1 - E2)/24 and, for k >= 2, the paper's recurrence
+    A_k = [(6*A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1}] / ((2k+1) 2k), D = q d/dq,
+    which stays in Q[E2, E4, E6] by RAMANUJAN_D.  Entry k maps the monomials
+    of A_k, all of weight <= 2k, to their nonzero coefficients.
+
+    The chain runs in integers: A_k is carried as integer numerators over
+    one denominator.  With s the lcm of 4 and the denominators of
+    RAMANUJAN_D (s = 12), s*D and s*6*A_1 = (s/4)*(1 - E2) have integer
+    coefficients, so each step multiplies the denominator by s*(2k+1)*2k.
+    The Fractions are made once, at the end.
     """
-    top = _solve_top(sizes[-1], order)
-    if weight <= 2 * K_FULL_RANK and top == sizes[-1] + 4:
-        return sizes
-    return window_ranks(_monomial_residues(monomial_basis(weight), top), sizes, order)
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    one = (0, 0, 0)
+    scale, images = _integer_images()
+    a1 = {one: 1, (1, 0, 0): -1}  # 24 * A_1
+    chain = [({one: 1}, 1), (a1, 24)][: k_max + 1]
+    for k in range(2, k_max + 1):
+        prev, denominator = chain[-1]
+        factor = {key: scale // 4 * v for key, v in a1.items()}  # s * 6 * A_1
+        factor[one] += scale * k * (k - 1)
+        cur = _mul(factor, prev)
+        cur.update({key: -2 * v for key, v in _q_derivative(prev, images).items()})
+        denominator *= scale * (2 * k + 1) * 2 * k
+        chain.append(({key: v for key, v in cur.items() if v}, denominator))
+    return [
+        {QMMonomial(*key): Fraction(v, denominator) for key, v in poly.items()}
+        for poly, denominator in chain
+    ]
 
 
 def _numerators(poly: dict) -> tuple[dict, int]:
@@ -82,6 +141,27 @@ def ring_step_holds(polys: list[dict], k: int) -> bool:
         m.weight <= 2 * k and rhs[m] * c.denominator == lhs * c.numerator
         for m, c in cur.items()
     ) and all(m in cur for m, v in rhs.items() if v)
+
+
+def _candidate_difference(
+    poly: dict, columns: dict, target: QSeries, order: int
+) -> Optional[tuple]:
+    """`_first_difference` through `order` of the polynomial `poly` in the
+    Eisenstein `columns` against `target`, in integers over the lcm of the
+    polynomial's denominators."""
+    combo = _integer_combination(list(poly.values()), [columns[m] for m in poly], order)
+    return _first_difference(*combo, target)
+
+
+_RANK_PRIME = 2**31 - 1
+
+# Every window of the weight-2k basis with k <= K_FULL_RANK has full rank
+# mod _RANK_PRIME, hence over Q.  Once m_k + 4 <= order, that window is
+# coefficients 0..m_k + 4 of the basis's m_k monomials (`_solve_top`): a
+# fixed integer matrix, the same at every order and for every target.  The
+# tests recompute it with `window_ranks` on `_monomial_residues`.  29 is the
+# deepest k the basis-size rule accepts at order 2000 (m_29 = 950).
+K_FULL_RANK = 29
 
 
 class Slots:
@@ -133,9 +213,37 @@ class Slots:
         return list(struct.unpack(f"<{self.count}I", narrow))
 
 
-def nested_ranks(columns: list, windows: list[tuple[int, int]]) -> list[int]:
-    """Rank mod `_RANK_PRIME` of each window (m, top): coefficients 0..top
-    of the first m of `columns`, with m and top ascending.
+def _monomial_residues(basis: list[QMMonomial], order: int) -> list[QSeries]:
+    """`quasimodular._monomial_series` mod `_RANK_PRIME`: each coefficient
+    reduced to 0..p-1, by `_build_columns`.
+
+    A column is held with its packed form, coefficient n in slot n of one
+    int (`Slots`), so each product is one int multiplication.  A slot of
+    the product sums at most order + 1 products of two residues, so slots
+    never carry; the low order + 1 are read back and reduced.
+    """
+    slots = Slots(order + 1, order + 1)
+
+    def column(residues: list[int]) -> tuple[list[int], int]:
+        return residues, slots.pack(residues)
+
+    built = _build_columns(
+        basis,
+        column([1] + [0] * order),
+        lambda w: column([c % _RANK_PRIME for c in quasimodular.eisenstein(w, order).coeffs]),
+        lambda parent, g: column(slots.residues(parent[1] * g[1])),
+    )
+    return [QSeries._wrap(residues) for residues, _ in built]
+
+
+def window_ranks(columns: list[QSeries], sizes: list[int], order: int) -> list[int]:
+    """Rank modulo `_RANK_PRIME` of each solve window `decompose` would use.
+
+    The window of basis size m holds coefficients 0.._solve_top(m, order) of the
+    first m of `columns` (integer series, or their residues from
+    `_monomial_residues`, in basis order); `sizes` ascend.
+    Rank mod p <= rank over Q, so a window of full rank here has exactly no
+    free column, as `decompose` would find it.
 
     One elimination serves every window.  Rows enter by exponent and are
     kept in echelon form, each with its first nonzero column as pivot, so
@@ -159,7 +267,8 @@ def nested_ranks(columns: list, windows: list[tuple[int, int]]) -> list[int]:
     ranks = []
     entries = zip(*(col.coeffs for col in columns))
     n = 0
-    for m, top in windows:
+    for m in sizes:
+        top = quasimodular._solve_top(m, order)
         while n <= top:
             row = slots.pack([v % p for v in next(entries)])
             at = 0
@@ -186,7 +295,103 @@ def nested_ranks(columns: list, windows: list[tuple[int, int]]) -> list[int]:
     return ranks
 
 
-def decompose_row(k: int, weight_bound: int, order: int, solve=decompose) -> QMDecomposition:
+def basis_ranks(weight: int, sizes: list[int], order: int) -> list[int]:
+    """Rank mod `_RANK_PRIME` of the window `decompose` solves for each
+    weight-2j basis of m monomials, m in `sizes` (ascending), 2j <= `weight`.
+
+    K_FULL_RANK decides them, as `sizes`, when weight <= 2 K_FULL_RANK and
+    the largest window is not cut at `order`; else `window_ranks` ranks
+    them on `_monomial_residues` of the weight-`weight` basis.
+    """
+    top = quasimodular._solve_top(sizes[-1], order)
+    if weight <= 2 * K_FULL_RANK and top == sizes[-1] + 4:
+        return sizes
+    return window_ranks(_monomial_residues(monomial_basis(weight), top), sizes, order)
+
+
+def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict, list]:
+    """Certify rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
+    as polynomials in E2, E4, E6 of weight <= 2k: the paper's induction, as
+    four exact checks, with D = q d/dq and P_k = `recurrence_polynomials(k_max)[k]`:
+
+    1. Ramanujan's identities D E_w = R_w(E2, E4, E6) from `RAMANUJAN_D`,
+       for the w in 2, 4, 6 with w + 2 <= 2k_max (no step below takes D of a
+       heavier generator);
+    2. P_1, the paper's (1 - E2)/24, against rows[1];
+    3. the step (2k+1) 2k A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1} of
+       `gen_recurrence` on the rows, k = 2..k_max;
+    4. the same step on the polynomials, in the ring, with P_k of weight
+       <= 2k (`ring_step_holds`), k = 2..k_max.  Let S map a polynomial to
+       its series through `order`, a ring map.  D S and S D agree on the
+       generators by 1, and both are derivations, so they agree on every
+       polynomial; with 2 and 3, induction gives S(P_k) = rows[k] through
+       the whole order.  From the first k whose ring step fails, P_k is
+       instead pinned against rows[k] on the window `decompose` would
+       solve, coefficients 0.._solve_top(m_k, order) for the weight-2k
+       basis of m_k monomials, as is every later P_k, on exact columns of
+       weight <= 2k_max built then through the largest window.
+
+    `ambiguous` is false where such a window has full rank, by
+    `basis_ranks`; a window short of it goes to `decompose`.
+
+    Checks 1-3 run through `order`, the steps before any column is built,
+    so their work does not add to the memory the columns hold.  Only the
+    columns checks 1 and 2 read (8 at most) are built exactly through
+    `order`.  Returns (difference, details, proved): difference is None when
+    every check holds, else the first failing check's (exponent, row
+    coefficient, candidate value), k by k, where a failing step's candidate
+    is its numerator over (2k+1) 2k, the A_k that the rows below k give;
+    details maps each A_k certified before it to its weight bound, term
+    count and `ambiguous`; proved is the prefix P_0..P_j that the checks
+    carry onto the rows through the whole order: every P_k, or those below
+    the first k where a check fails or a ring step fails and the pin takes over.
+    """
+    k_max = len(rows) - 1
+    polys = recurrence_polynomials(k_max)
+    steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, k_max + 1))
+    # entry k is the series check on A_k: 1 and 2 for k = 1, 3 above
+    differences = [None, None] + [
+        _first_difference(numerator.coeffs, denominator, row)
+        for (numerator, denominator), row in zip(steps, rows[2:])
+    ]
+    weight = min(2 * k_max, 8)
+    identities = list(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1))[: weight // 2 - 1], RAMANUJAN_D))
+    read = {(0, 0, 0), (1, 0, 0)}.union(*({g, *image} for g, image in identities))
+    basis = [m for m in monomial_basis(weight) if m in read]
+    columns = dict(zip(basis, quasimodular._monomial_series(basis, order)))
+    for g, image in identities:
+        derivative = columns[g].q_derivative()
+        differences[1] = differences[1] or _candidate_difference(image, columns, derivative, order)
+    differences[1] = differences[1] or _candidate_difference(polys[1], columns, rows[1], order)
+    columns = derivative = None  # hold no full-order series while the residues are built
+    sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
+    windows = [quasimodular._solve_top(m, order) for m in sizes]
+    ranks = basis_ranks(2 * k_max, sizes, order)
+    pinned, proved = None, polys  # pinned: the exact window columns, once a ring step fails
+    details: dict = {}
+    for k in range(1, k_max + 1):
+        difference = differences[k]
+        if difference is None and pinned is None and k > 1 and not ring_step_holds(polys, k):
+            pinned, proved = monomial_columns(2 * k_max, windows[-1]), polys[:k]
+        if difference is None and pinned is not None:
+            difference = _candidate_difference(polys[k], pinned, rows[k], windows[k - 1])
+        if difference is not None:
+            return difference, details, proved[:k]
+        if ranks[k - 1] == sizes[k - 1]:
+            terms, ambiguous = len(polys[k]), False
+        else:
+            try:
+                dec = quasimodular.decompose(rows[k], 2 * k, order, description=f"A_{k}")
+            except NoDecompositionError as e:
+                return (e.exponent, e.lhs, e.rhs), details, proved[:k]
+            terms, ambiguous = len(dec.terms), dec.ambiguous
+        details[f"A_{k}"] = {"weight_bound": 2 * k, "terms": terms, "ambiguous": ambiguous}
+    return None, details, proved
+
+
+def decompose_row(
+    k: int, weight_bound: int, order: int, solve=quasimodular.decompose
+) -> QMDecomposition:
     """`decompose` of A_k, the row k of the defining sum through `order`, at
     `weight_bound`, with `solve` (`decompose` or a wrapper of it) for what
     the certificate does not decide.

@@ -31,7 +31,7 @@ def rows(step: int, k: int, order: int) -> list:
     divided by j once.  j divides every one of its coefficients exactly
     when the remainder is 0 and j times each slot of the quotient still
     fits a slot (the digits of j*quotient are then those of j*e_j); both
-    are checked.
+    are checked, and ArithmeticError is raised if either fails.
     """
     n = order + 1
     table = [[1] + [0] * order]
@@ -47,7 +47,8 @@ def rows(step: int, k: int, order: int) -> list:
             int.from_bytes(digits[at : at + width], "little") for at in range(0, len(digits), width)
         ]
         top = max(row)
-        assert rem == 0 and j * top < 1 << 8 * width  # Newton's identity: j divides j*e_j
+        if rem or j * top >= 1 << 8 * width:
+            raise ArithmeticError(f"Newton's identity: {j} does not divide {j}*e_{j}")
         table.append(row)
         if j < k:  # e_k takes part in no product
             elementary.append(_Packed(digits, width, top))

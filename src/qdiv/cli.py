@@ -20,6 +20,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from ._certify import decompose_row
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c
 from .quasimodular import NoDecompositionError, check_basis_size, decompose
 from .series import QSeries, run_scope
@@ -149,8 +150,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     _check_order(args.order)
     weight_bound = 2 * args.k if args.weight_bound is None else args.weight_bound
     _check_basis_size(weight_bound, args.order)
-    from ._certify import decompose_row  # `coeffs` never compiles it
-
     try:
         # the exact solve by this module's name, where perfbench traces it
         dec = decompose_row(args.k, weight_bound, args.order, decompose)

@@ -39,6 +39,7 @@ from itertools import accumulate
 from operator import add, truediv
 from typing import Literal, Sequence
 
+from . import _newton
 from .series import QSeries, memo, pochhammer_inf
 
 
@@ -165,8 +166,6 @@ def _direct_rows(family: Family, k: int, order: int) -> tuple:
     (C, 2, 100); with 2 it would also take (A, 9, 1600) and (C, 7, 1600).
     """
     if k >= 2 and family.step * 3 * k**3 <= order:
-        from . import _newton  # about 2 ms of import, paid only by a run that takes it
-
         return tuple(map(QSeries._wrap, _newton.rows(family.step, k, order)))
     return _dp_rows(family, k, order)
 
@@ -419,7 +418,8 @@ def cheb_coeff_closed(n: int, k: int, parity: Literal["even", "odd"]) -> int:
         num = (2 * n + 1) * math.factorial(n + k)
         den = math.factorial(n - k) * math.factorial(2 * k + 1)
     value, rem = divmod(num, den)
-    assert rem == 0  # the ratio is a polynomial coefficient, hence integral
+    if rem:  # the ratio is a polynomial coefficient, hence integral
+        raise ArithmeticError(f"closed form not integral at n={n}, k={k}")
     return -value if (n - k) & 1 else value
 
 

@@ -24,11 +24,12 @@ import time
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
+from ._certify import certify_rows
 from .macmahon import (
     Family, _direct_table, _eta_quotient, gen_direct, gen_explicit, gen_recurrence,
     oracle_a, oracle_c, theta_f, theta_g,
 )
-from .quasimodular import NoDecompositionError, certify_rows, check_basis_size, decompose
+from .quasimodular import NoDecompositionError, check_basis_size, decompose
 from .series import QSeries, pochhammer_inf
 
 Rational = Union[int, Fraction]
@@ -312,7 +313,7 @@ def verify_quasimodularity(
 ) -> VerificationReport:
     """Certify A_1..A_{k_max} as polynomials in E2, E4, E6 of weight <= 2k.
 
-    The report's mismatch and details are those `quasimodular.certify_rows`
+    The report's mismatch and details are those `_certify.certify_rows`
     returns for the rows of the defining sum through `order`.  When every
     check holds, an informational probe shows that the odd-part family's C_1
     does NOT decompose in this basis (expected; its failure does not fail

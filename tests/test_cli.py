@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qdiv
-from qdiv import _certify, cli, macmahon, quasimodular
+from qdiv import _certify, cli, macmahon
 from qdiv.cli import EXIT_INTERNAL, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from qdiv.macmahon import Family, gen_direct
 from qdiv.quasimodular import NoDecompositionError, decompose, monomial_basis
@@ -37,30 +37,49 @@ def run_fresh(argv, timeout):
     )
 
 
-def test_import_loads_only_the_standard_library():
-    # the snapshot is taken after start-up, so modules that `site` loads
-    # from third-party .pth files are not counted against the package
+def fresh_imports(statements):
+    """Modules that `statements` load in a fresh interpreter.
+
+    The snapshot is taken after start-up, so modules that `site` loads
+    from third-party .pth files are not counted against the package.
+    """
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import qdiv, qdiv.cli\n"
+        f"{statements}\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
     env = {
         "PATH": os.environ.get("PATH", ""),
         "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
     }
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         timeout=60, check=True,
     ).stdout.split()
+
+
+def test_import_loads_only_the_standard_library():
+    out = fresh_imports("import qdiv, qdiv.cli")
     assert "qdiv.cli" in out
     # records are named tuples and traceback is loaded only on failure, so
     # no start-up pays for the dataclasses -> inspect chain
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}.isdisjoint(out)
-    # the certificate's helpers and Newton's row builder load when first
-    # run, so a command compiles neither unless it runs it
-    assert {"qdiv._certify", "qdiv._newton"}.isdisjoint(out)
+    # the package loads every module of its own, the certificate and
+    # Newton's row builder included; only the CLI is left to its importer
+    package = Path(qdiv.__file__).parent
+    modules = {f"qdiv.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"}
+    assert modules - {"qdiv.cli"} <= set(fresh_imports("import qdiv"))
+    # the exact path stands on its own: quasimodular, imported without the
+    # package's __init__, loads neither the certificate nor what imports it
+    alone = fresh_imports(
+        "import types\n"
+        "sys.modules['qdiv'] = package = types.ModuleType('qdiv')\n"
+        f"package.__path__ = [{str(package)!r}]\n"
+        "import qdiv.quasimodular"
+    )
+    assert "qdiv.quasimodular" in alone
+    assert {"qdiv._certify", "qdiv.verify", "qdiv.cli"}.isdisjoint(alone)
     outside = [
         name for name in out
         if name != "qdiv" and not name.startswith("qdiv.")
@@ -306,15 +325,22 @@ def test_decompose_window_cut_at_the_order_is_ranked(capsys, monkeypatch):
     window_ranks = _certify.window_ranks
 
     def spy(columns, sizes, order):
-        ranked.append((len(columns), sizes, order))
+        ranked[-1].append((len(columns), sizes, order))
         return window_ranks(columns, sizes, order)
 
     monkeypatch.setattr(_certify, "window_ranks", spy)
     solved = spy_solves(monkeypatch)
-    certified, exact = decompose_both_ways(capsys, monkeypatch, ["--k", "1", "--order", "4"])
-    # each run ranks the window; only the runs with a failing certificate solve
-    assert ranked == [(2, [2], 4)] * 4 and solved == ["A_1"] * 2
-    assert certified == exact and certified[0][0] == EXIT_OK
+    runs = []
+    for certify in (_certify.certify_rows, lambda rows, order: ((0, 0, 0), {}, [])):
+        monkeypatch.setattr(_certify, "certify_rows", certify)
+        for fmt in ("text", "json"):
+            ranked.append([])
+            argv = ["decompose", "--k", "1", "--order", "4", "--format", fmt]
+            runs.append(run(capsys, argv)[:2])
+    # a certified run ranks the window twice, in certify_rows and in
+    # decompose_row; a run whose certificate fails ranks nothing and solves
+    assert ranked == [[(2, [2], 4)] * 2] * 2 + [[]] * 2 and solved == ["A_1"] * 2
+    assert runs[:2] == runs[2:] and runs[0][0] == EXIT_OK
 
 
 @pytest.mark.parametrize("name, failing", [
@@ -346,7 +372,7 @@ def test_each_command_proves_the_recurrence_once(capsys, monkeypatch, argv, step
     # once, under whichever name a module of the package holds them, and
     # each ring step to the deepest k is checked once
     calls = {"polynomials": 0, "steps": 0}
-    polys, ring_step = quasimodular.recurrence_polynomials, _certify.ring_step_holds
+    polys, ring_step = _certify.recurrence_polynomials, _certify.ring_step_holds
 
     def count_polys(k_max):
         calls["polynomials"] += 1

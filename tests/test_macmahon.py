@@ -6,11 +6,16 @@ so the oracle/series cross-checks elsewhere rest on two unrelated codepaths.
 """
 
 import itertools
+import math
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 from contextlib import nullcontext
 from operator import add
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -184,6 +189,39 @@ def test_newton_rows_match_the_block_sweep(family, order):
     k = 18
     expected = block_sweep_rows(family, k, order)
     assert _newton.rows(family.step, k, order) == expected
+
+
+def test_newton_rows_refuse_a_sum_that_j_does_not_divide(monkeypatch):
+    # a packing fault: 1 added to the packed sum leaves 2*e_2 odd
+    signed_sum = _newton._signed_sum
+
+    def off_by_one(pairs, n):
+        total, width = signed_sum(pairs, n)
+        return total + 1, width
+
+    monkeypatch.setattr(_newton, "_signed_sum", off_by_one)
+    with pytest.raises(ArithmeticError, match="Newton's identity"):
+        _newton.rows(1, 4, 100)
+
+
+def test_newton_rows_refuse_it_under_python_O():
+    # the same fault in a child run with -O, which strips asserts, as its
+    # own `assert False` shows; the divisibility check still raises
+    code = (
+        "from qdiv import _newton\n"
+        "assert False\n"
+        "signed_sum = _newton._signed_sum\n"
+        "_newton._signed_sum = lambda pairs, n: (lambda t, w: (t + 1, w))(*signed_sum(pairs, n))\n"
+        "try:\n"
+        "    _newton.rows(1, 4, 100)\n"
+        "except ArithmeticError:\n"
+        "    print('refused')\n"
+    )
+    env = {"PYTHONPATH": str(Path(_newton.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.stdout == "refused\n", proc.stderr
 
 
 def newton_side(family, k):
@@ -512,6 +550,14 @@ def test_cheb_rescaled_small():
     assert cheb_rescaled(1).coeffs == (0, 1)
     assert cheb_rescaled(2).coeffs == (-2, 0, 1)
     assert cheb_rescaled(4).coeffs == (2, 0, -4, 0, 1)
+
+
+def test_cheb_closed_form_refuses_a_ratio_that_is_not_integral(monkeypatch):
+    # factorials off by one make both ratios fractional
+    monkeypatch.setattr(macmahon, "math", SimpleNamespace(factorial=lambda n: math.factorial(n) + 1))
+    for n, k, parity in [(3, 1, "even"), (2, 1, "odd")]:
+        with pytest.raises(ArithmeticError, match="not integral"):
+            cheb_coeff_closed(n, k, parity)
 
 
 def test_cheb_closed_form_examples():

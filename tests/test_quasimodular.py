@@ -14,8 +14,8 @@ import pytest
 from qdiv import _certify, quasimodular, series
 from qdiv.linalg import IncrementalSolver
 from qdiv.macmahon import Family, gen_direct, oracle_a
+from qdiv._certify import RAMANUJAN_D, recurrence_polynomials, window_ranks
 from qdiv.quasimodular import (
-    RAMANUJAN_D,
     NoDecompositionError,
     QMDecomposition,
     QMMonomial,
@@ -25,8 +25,6 @@ from qdiv.quasimodular import (
     monomial_basis,
     monomial_columns,
     monomial_count,
-    recurrence_polynomials,
-    window_ranks,
 )
 from qdiv.series import QSeries, divisor_sigma, eisenstein
 
@@ -328,14 +326,14 @@ def test_window_ranks_match_the_exact_rank_on_dependent_columns(seed):
 def test_monomial_residues_are_the_exact_columns_mod_p():
     # seeded (weight, order) pairs, with the weight-24 basis through the
     # largest window of the k_max = 12, order 400 suite
-    p = quasimodular._RANK_PRIME
+    p = _certify._RANK_PRIME
     rng = random.Random(2031)
     pairs = [(24, 106), (0, 5), (2, 0)] + [
         (2 * rng.randint(0, 12), rng.randint(1, 90)) for _ in range(5)
     ]
     for weight, order in pairs:
         basis = monomial_basis(weight)
-        residues = quasimodular._monomial_residues(basis, order)
+        residues = _certify._monomial_residues(basis, order)
         exact = quasimodular._monomial_series(basis, order)
         assert [r.coeffs for r in residues] == [
             tuple(c % p for c in col.coeffs) for col in exact
@@ -347,7 +345,7 @@ def test_window_ranks_read_residues_as_exact_columns(k_max, order):
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
     top = min(sizes[-1] + 4, order)
     basis = monomial_basis(2 * k_max)
-    residues = quasimodular._monomial_residues(basis, top)
+    residues = _certify._monomial_residues(basis, top)
     exact = quasimodular._monomial_series(basis, top)
     assert window_ranks(residues, sizes, order) == window_ranks(exact, sizes, order) == sizes
 
@@ -357,7 +355,7 @@ def windows_of_full_rank(k_max):
     mod p, ranked live at the order where none is cut, m_k_max + 4."""
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
     top = sizes[-1] + 4
-    residues = quasimodular._monomial_residues(monomial_basis(2 * k_max), top)
+    residues = _certify._monomial_residues(monomial_basis(2 * k_max), top)
     return window_ranks(residues, sizes, top) == sizes
 
 
@@ -386,7 +384,7 @@ def test_q_derivative_is_d_on_the_series(seed):
             m: Fraction(rng.randint(-50, 50), rng.randint(1, 30))
             for m in rng.sample(basis, rng.randint(1, 12))
         }
-        derivative = quasimodular._q_derivative(poly, RAMANUJAN_D)
+        derivative = _certify._q_derivative(poly, RAMANUJAN_D)
         assert series_of(derivative) == series_of(poly).q_derivative()
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from qdiv import _certify, linalg, macmahon, quasimodular, series, verify
 from qdiv.macmahon import Family, gen_direct, gen_explicit
+from qdiv._certify import RAMANUJAN_D, recurrence_polynomials
 from qdiv.quasimodular import (
-    RAMANUJAN_D, DivisorFitResult, QMDecomposition, QMMonomial, monomial_basis,
-    monomial_columns, recurrence_polynomials,
+    DivisorFitResult, QMDecomposition, QMMonomial, monomial_basis, monomial_columns,
 )
 from qdiv.series import run_scope
 from qdiv.verify import (
@@ -242,7 +242,7 @@ def test_quasimodularity_solves_only_the_c1_probe(monkeypatch):
 def test_quasimodularity_short_window_falls_back_to_the_solve(monkeypatch):
     clean = verify_quasimodularity(4, 100).to_json_obj()
     solved, ranked = [], []
-    ranks, decompose = quasimodular.window_ranks, quasimodular.decompose
+    ranks, decompose = _certify.window_ranks, quasimodular.decompose
 
     def short(columns, sizes, order):
         ranked.append(sizes)
@@ -275,7 +275,7 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
     # the C_1 probe and the report
     k_max, order = 5, 100
     clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
-    difference, details, _ = quasimodular.certify_rows(clean, order)
+    difference, details, _ = _certify.certify_rows(clean, order)
     report = verify_quasimodularity(k_max, order)
     assert difference is None
     assert details == {key: v for key, v in report.details.items() if key != "C_1_probe"}
@@ -283,7 +283,7 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
     for k, exponent, delta in [(1, 40, 1), (3, 5, -3), (5, 90, Fraction(1, 7))]:
         p = Perturbation(f"A_{k}", exponent, delta)
         rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
-        difference, details, _ = quasimodular.certify_rows(rows, order)
+        difference, details, _ = _certify.certify_rows(rows, order)
         report = verify_quasimodularity(k_max, order, perturb=p)
         assert Mismatch(None, *difference) == report.first_mismatch, p
         assert details == report.details, p
@@ -296,16 +296,16 @@ def test_certify_rows_returns_the_polynomials_it_carries_through_the_order(monke
     k_max, order = 5, 100
     polys = recurrence_polynomials(k_max)
     clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
-    assert quasimodular.certify_rows(clean, order)[2] == polys
+    assert _certify.certify_rows(clean, order)[2] == polys
     p = Perturbation("A_3", 5, -3)
     rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
-    difference, _, proved = quasimodular.certify_rows(rows, order)
+    difference, _, proved = _certify.certify_rows(rows, order)
     assert difference is not None and proved == polys[:3]
     ring_step = _certify.ring_step_holds
     monkeypatch.setattr(
         _certify, "ring_step_holds", lambda found, k: k != 4 and ring_step(found, k)
     )
-    difference, _, proved = quasimodular.certify_rows(clean, order)
+    difference, _, proved = _certify.certify_rows(clean, order)
     assert difference is None and proved == polys[:4]
 
 
@@ -315,7 +315,7 @@ def full_order_mismatch(k_max, order, columns, perturb):
     polys = recurrence_polynomials(k_max)
     for k in range(1, k_max + 1):
         target = verify._tap(gen_direct(Family.A, k, order), f"A_{k}", perturb)
-        difference = quasimodular._candidate_difference(polys[k], columns, target, order)
+        difference = _certify._candidate_difference(polys[k], columns, target, order)
         if difference is not None:
             return Mismatch(None, *difference)
     return None
@@ -342,14 +342,14 @@ def test_quasimodular_mismatch_matches_the_full_order_reference(k_max, order):
 def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
     # the induction holds whatever the polynomials say; only the window pin
     # sees a wrong coefficient
-    polys = quasimodular.recurrence_polynomials
+    polys = _certify.recurrence_polynomials
 
     def nudged(k_max):
         found = polys(k_max)
         found[3][next(iter(found[3]))] += Fraction(1, 10**6)
         return found
 
-    monkeypatch.setattr(quasimodular, "recurrence_polynomials", nudged)
+    monkeypatch.setattr(_certify, "recurrence_polynomials", nudged)
     r = verify_quasimodularity(4, 100)
     assert not r.passed
     assert r.first_mismatch.q_exponent <= len(monomial_basis(6)) + 4
@@ -361,7 +361,7 @@ def test_corrupted_recurrence_polynomial_fails_the_suite_at_k(monkeypatch, k, de
     # a wrong P_k breaks the ring step into k; from there the suite pins P_k
     # on the window decompose would solve, and reports what that pin finds
     k_max, order = 6, 120
-    polys = quasimodular.recurrence_polynomials
+    polys = _certify.recurrence_polynomials
     term = sorted(polys(k_max)[k])[1]
 
     def corrupted(n):
@@ -369,12 +369,12 @@ def test_corrupted_recurrence_polynomial_fails_the_suite_at_k(monkeypatch, k, de
         found[k][term] += delta
         return found
 
-    monkeypatch.setattr(quasimodular, "recurrence_polynomials", corrupted)
+    monkeypatch.setattr(_certify, "recurrence_polynomials", corrupted)
     r = verify_quasimodularity(k_max, order)
     window = quasimodular._solve_top(len(monomial_basis(2 * k)), order)
     columns = monomial_columns(2 * k_max, order)
     row = gen_direct(Family.A, k, order)
-    expected = quasimodular._candidate_difference(corrupted(k_max)[k], columns, row, window)
+    expected = _certify._candidate_difference(corrupted(k_max)[k], columns, row, window)
     assert expected is not None
     assert r.first_mismatch == Mismatch(None, *expected)
     assert type(r.first_mismatch.rhs_coefficient) is type(expected[2])
@@ -434,7 +434,7 @@ def test_quasimodularity_checks_eisenstein_series_through_the_order(monkeypatch)
 
 def test_quasimodularity_builds_only_weight_8_columns_through_the_order(monkeypatch):
     built, residues = [], []
-    build, reduce = quasimodular._monomial_series, quasimodular._monomial_residues
+    build, reduce = quasimodular._monomial_series, _certify._monomial_residues
 
     def spy(basis, order):
         built.append((len(basis), order))
@@ -513,7 +513,7 @@ def test_recurrence_step_is_shared_by_the_route_and_the_suite(monkeypatch):
         return numerator, denominator + (k == 3)
 
     monkeypatch.setattr(macmahon, "_recurrence_step", wrong)
-    monkeypatch.setattr(quasimodular, "_recurrence_step", wrong)
+    monkeypatch.setattr(_certify, "_recurrence_step", wrong)
     assert not verify_method_agreement(Family.A, 3, 60).passed
     assert not verify_quasimodularity(3, 60).passed
 
