@@ -2,17 +2,17 @@
 
 `recurrence_polynomials` derives A_0..A_k as polynomials in E2, E4, E6 by
 the paper's recurrence and Ramanujan's identities (`RAMANUJAN_D`), with no
-linear algebra.  `certify_rows` carries them onto the rows of the defining
-sum through the whole order, by the four checks its docstring states, and
-`decompose_row` reads A_k's decomposition from what it proves.  A proved
-polynomial is what `decompose` would find when the window it solves has
-full rank; one rule, `basis_ranks`, decides that: by the constant
-`K_FULL_RANK`, else by `window_ranks`, with packed arithmetic modulo
-`_RANK_PRIME`.
+linear algebra.  `prove_rows` carries them onto the rows of the defining
+sum through the whole order, by the four checks its docstring states;
+`certify_rows` adds the suite's report, and `decompose_row` reads A_k's
+decomposition from the proof or leaves it to the caller's exact solve.  A
+proved polynomial is what `decompose` would find when the window it solves
+has full rank; one rule, `basis_ranks`, decides that: by the constant
+`K_FULL_RANK`, else by `window_ranks`, packed modulo `_RANK_PRIME`.
 
 The exact path's rules stay in `quasimodular`: the solve window
-`_solve_top`, the column build `_monomial_series` and the fallback
-`decompose` are read through that module when they run, so the
+`_solve_top`, the column build `_monomial_series` and the report's
+fallback `decompose` are read through that module when they run, so the
 certificate follows the rules the exact path states.
 """
 
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import quasimodular
-from .macmahon import Family, _direct_table, _recurrence_step, gen_direct
+from .macmahon import Family, _direct_table, _recurrence_step
 from .quasimodular import (
     NoDecompositionError,
     QMDecomposition,
@@ -309,8 +309,8 @@ def basis_ranks(weight: int, sizes: list[int], order: int) -> list[int]:
     return window_ranks(_monomial_residues(monomial_basis(weight), top), sizes, order)
 
 
-def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict, list]:
-    """Certify rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
+def prove_rows(rows: list[QSeries], order: int) -> tuple[list, list, int]:
+    """Prove rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
     as polynomials in E2, E4, E6 of weight <= 2k: the paper's induction, as
     four exact checks, with D = q d/dq and P_k = `recurrence_polynomials(k_max)[k]`:
 
@@ -325,31 +325,21 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
        its series through `order`, a ring map.  D S and S D agree on the
        generators by 1, and both are derivations, so they agree on every
        polynomial; with 2 and 3, induction gives S(P_k) = rows[k] through
-       the whole order.  From the first k whose ring step fails, P_k is
-       instead pinned against rows[k] on the window `decompose` would
-       solve, coefficients 0.._solve_top(m_k, order) for the weight-2k
-       basis of m_k monomials, as is every later P_k, on exact columns of
-       weight <= 2k_max built then through the largest window.
-
-    `ambiguous` is false where such a window has full rank, by
-    `basis_ranks`; a window short of it goes to `decompose`.
+       the whole order.
 
     Checks 1-3 run through `order`, the steps before any column is built,
     so their work does not add to the memory the columns hold.  Only the
     columns checks 1 and 2 read (8 at most) are built exactly through
-    `order`.  Returns (difference, details, proved): difference is None when
-    every check holds, else the first failing check's (exponent, row
-    coefficient, candidate value), k by k, where a failing step's candidate
-    is its numerator over (2k+1) 2k, the A_k that the rows below k give;
-    details maps each A_k certified before it to its weight bound, term
-    count and `ambiguous`; proved is the prefix P_0..P_j that the checks
-    carry onto the rows through the whole order: every P_k, or those below
-    the first k where a check fails or a ring step fails and the pin takes over.
+    `order`.  Returns (differences, polys, held): differences[k] is the
+    first failing series check on A_k (1 and 2 for k = 1, 3 above) as
+    (exponent, row coefficient, candidate value), a step's candidate being
+    its numerator over (2k+1) 2k, or None; polys is P_0..P_{k_max}; held,
+    where ring steps stop, is the least k whose series check or ring step
+    fails, or k_max + 1: S(P_k) = rows[k] through `order` for all k < held.
     """
     k_max = len(rows) - 1
     polys = recurrence_polynomials(k_max)
     steps = (_recurrence_step(Family.A, k, rows[1], rows[k - 1]) for k in range(2, k_max + 1))
-    # entry k is the series check on A_k: 1 and 2 for k = 1, 3 above
     differences = [None, None] + [
         _first_difference(numerator.coeffs, denominator, row)
         for (numerator, denominator), row in zip(steps, rows[2:])
@@ -363,59 +353,63 @@ def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict
         derivative = columns[g].q_derivative()
         differences[1] = differences[1] or _candidate_difference(image, columns, derivative, order)
     differences[1] = differences[1] or _candidate_difference(polys[1], columns, rows[1], order)
-    columns = derivative = None  # hold no full-order series while the residues are built
+    columns = derivative = None  # hold no full-order series through the ring steps
+    held = 1
+    while held <= k_max and not differences[held] and (held < 2 or ring_step_holds(polys, held)):
+        held += 1
+    return differences, polys, held
+
+
+def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict]:
+    """The quasimodular suite's report on `prove_rows`: once a ring step
+    fails, that P_k and every later one are pinned against rows[k] on the
+    window `decompose` would solve, coefficients 0.._solve_top(m_k, order)
+    of the weight-2k basis's m_k monomials, on exact columns of weight
+    <= 2k_max built then.  `ambiguous` is false where that window has full
+    rank by `basis_ranks`, ranked once the proof's columns are freed, else
+    `decompose` decides it.  Returns (difference, details): the first
+    failing check's (exponent, row coefficient, candidate value), k by k,
+    or None, and each A_k certified before it with its weight bound, term
+    count and `ambiguous`.
+    """
+    differences, polys, held = prove_rows(rows, order)
+    k_max = len(rows) - 1
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
     windows = [quasimodular._solve_top(m, order) for m in sizes]
     ranks = basis_ranks(2 * k_max, sizes, order)
-    pinned, proved = None, polys  # pinned: the exact window columns, once a ring step fails
-    details: dict = {}
-    for k in range(1, k_max + 1):
-        difference = differences[k]
-        if difference is None and pinned is None and k > 1 and not ring_step_holds(polys, k):
-            pinned, proved = monomial_columns(2 * k_max, windows[-1]), polys[:k]
-        if difference is None and pinned is not None:
+    pinned, details = None, {}  # pinned: the exact window columns, once a ring step fails
+    for k, difference in enumerate(differences[1:], 1):
+        if difference is None and k >= held:
+            pinned = pinned or monomial_columns(2 * k_max, windows[-1])
             difference = _candidate_difference(polys[k], pinned, rows[k], windows[k - 1])
         if difference is not None:
-            return difference, details, proved[:k]
+            return difference, details
         if ranks[k - 1] == sizes[k - 1]:
             terms, ambiguous = len(polys[k]), False
         else:
             try:
                 dec = quasimodular.decompose(rows[k], 2 * k, order, description=f"A_{k}")
             except NoDecompositionError as e:
-                return (e.exponent, e.lhs, e.rhs), details, proved[:k]
+                return (e.exponent, e.lhs, e.rhs), details
             terms, ambiguous = len(dec.terms), dec.ambiguous
         details[f"A_{k}"] = {"weight_bound": 2 * k, "terms": terms, "ambiguous": ambiguous}
-    return None, details, proved
+    return None, details
 
 
-def decompose_row(
-    k: int, weight_bound: int, order: int, solve=quasimodular.decompose
-) -> QMDecomposition:
+def decompose_row(k: int, weight_bound: int, order: int) -> Optional[QMDecomposition]:
     """`decompose` of A_k, the row k of the defining sum through `order`, at
-    `weight_bound`, with `solve` (`decompose` or a wrapper of it) for what
-    the certificate does not decide.
-
-    For weight_bound >= 2k, `certify_rows` on rows 0..k proves S(P_k) = A_k
-    through `order` when P_k is among the polynomials it returns as proved.
-    When the window `decompose` solves at weight_bound also has full rank
-    (`basis_ranks`), P_k, padded with zeros, solves that window as its only
-    solution: it is what `decompose` finds, with no free column, and its
-    check through `order` holds.  Every other case goes to `solve`,
-    including weight_bound < 2k, where `decompose` finds no solution.
+    `weight_bound`, from `prove_rows` on rows 0..k (feasible by the basis-size
+    check), or None for the caller's exact solve.  S(P_k) = A_k through
+    `order` when k < held; if the window `decompose` solves at weight_bound
+    >= 2k has full rank too (`basis_ranks`, the one window ranked), P_k
+    padded with zeros is its only solution.  weight_bound < 2k runs no proof.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     check_basis_size(weight_bound, order)
     if weight_bound >= 2 * k:
-        rows = _direct_table(Family.A, k, order)  # the basis-size check leaves row k feasible
-        proved = certify_rows(rows, order)[2]
+        _, polys, held = prove_rows(_direct_table(Family.A, k, order), order)
         basis = monomial_basis(weight_bound)
-        if k < len(proved) and basis_ranks(weight_bound, [len(basis)], order) == [len(basis)]:
-            return QMDecomposition(
-                terms={m: proved[k][m] for m in basis if m in proved[k]},
-                weight_bound=weight_bound,
-                verified_order=order,
-                target_description=f"A_{k}",
-            )
-    return solve(gen_direct(Family.A, k, order), weight_bound, order, f"A_{k}")
+        if k < held and basis_ranks(weight_bound, [len(basis)], order) == [len(basis)]:
+            terms = {m: polys[k][m] for m in basis if m in polys[k]}
+            return QMDecomposition(terms, weight_bound, order, f"A_{k}")

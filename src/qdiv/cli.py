@@ -151,8 +151,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     weight_bound = 2 * args.k if args.weight_bound is None else args.weight_bound
     _check_basis_size(weight_bound, args.order)
     try:
-        # the exact solve by this module's name, where perfbench traces it
-        dec = decompose_row(args.k, weight_bound, args.order, decompose)
+        dec = decompose_row(args.k, weight_bound, args.order)
+        if dec is None:  # the exact solve, by this module's name: traced as cli.decompose
+            dec = decompose(gen_direct(Family.A, args.k, args.order), weight_bound, args.order,
+                            f"A_{args.k}")
     except NoDecompositionError as e:
         if args.format == "json":
             obj = {

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
 from . import _kernels_py as kernels
 
 Rational = Union[int, Fraction]
+_WIRE_COEFF = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?").fullmatch  # 'p' or 'p/q', q > 0
 
 
 class NonInvertibleSeriesError(ValueError):
@@ -247,11 +249,13 @@ class QSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
-        """Inverse of `to_json_obj`: `order` must be an int and `coeffs` hold
-        exactly order + 1 entries, so no unknown coefficient reads as 0."""
+        """Inverse of `to_json_obj`: `order` must be an int and `coeffs` a list of
+        order + 1 strings 'p' or 'p/q', q > 0, so none reads as 0 or inexactly."""
         order, coeffs = obj["order"], obj["coeffs"]
         if type(order) is not int:
             raise ValueError(f"order must be an int, got {order!r}")
+        if type(coeffs) is not list or not all(type(c) is str and _WIRE_COEFF(c) for c in coeffs):
+            raise ValueError("coeffs must be a list of strings 'p' or 'p/q' with q > 0")
         if len(coeffs) != order + 1:
             raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(coeffs)}")
         return cls([Fraction(s) for s in coeffs], order)

@@ -313,8 +313,8 @@ def verify_quasimodularity(
 ) -> VerificationReport:
     """Certify A_1..A_{k_max} as polynomials in E2, E4, E6 of weight <= 2k.
 
-    The report's mismatch and details are those `_certify.certify_rows`
-    returns for the rows of the defining sum through `order`.  When every
+    The report's mismatch and details are `certify_rows`'s, `prove_rows`
+    with the window pin and ranks, on the rows through `order`.  When every
     check holds, an informational probe shows that the odd-part family's C_1
     does NOT decompose in this basis (expected; its failure does not fail
     the suite), with a `decompose` of its own two columns, 1 and E2.  Raises
@@ -329,7 +329,7 @@ def verify_quasimodularity(
     # the basis-size check leaves every A_k with k <= k_max feasible
     rows = _direct_table(Family.A, k_max, order)
     rows = [_tap(row, f"A_{k}", perturb) for k, row in enumerate(rows)]
-    difference, details = certify_rows(rows, order)[:2]
+    difference, details = certify_rows(rows, order)
     mismatch = None if difference is None else Mismatch(None, *difference)
     if mismatch is None:
         try:

@@ -264,7 +264,7 @@ def decompose_both_ways(capsys, monkeypatch, argv):
     runs = []
     for failing in (False, True):
         if failing:
-            monkeypatch.setattr(_certify, "certify_rows", lambda rows, order: ((0, 0, 0), {}, []))
+            monkeypatch.setattr(_certify, "prove_rows", lambda rows, order: ([], [], 0))
         runs.append([run(capsys, ["decompose", *argv, "--format", fmt])[:2]
                      for fmt in ("text", "json")])
     monkeypatch.undo()
@@ -308,7 +308,7 @@ def test_decompose_below_weight_2k_solves_to_the_witness(capsys, monkeypatch):
     # exit-3 witness is reported as before
     solved = spy_solves(monkeypatch)
     certify = []
-    monkeypatch.setattr(_certify, "certify_rows", lambda *a: certify.append(a))
+    monkeypatch.setattr(_certify, "prove_rows", lambda *a: certify.append(a))
     rc, out, _ = run(capsys, ["decompose", "--k", "3", "--weight-bound", "4",
                               "--order", "60", "--format", "json"])
     assert rc == EXIT_NO_SOLUTION
@@ -331,20 +331,20 @@ def test_decompose_window_cut_at_the_order_is_ranked(capsys, monkeypatch):
     monkeypatch.setattr(_certify, "window_ranks", spy)
     solved = spy_solves(monkeypatch)
     runs = []
-    for certify in (_certify.certify_rows, lambda rows, order: ((0, 0, 0), {}, [])):
-        monkeypatch.setattr(_certify, "certify_rows", certify)
+    for prove in (_certify.prove_rows, lambda rows, order: ([], [], 0)):
+        monkeypatch.setattr(_certify, "prove_rows", prove)
         for fmt in ("text", "json"):
             ranked.append([])
             argv = ["decompose", "--k", "1", "--order", "4", "--format", fmt]
             runs.append(run(capsys, argv)[:2])
-    # a certified run ranks the window twice, in certify_rows and in
-    # decompose_row; a run whose certificate fails ranks nothing and solves
-    assert ranked == [[(2, [2], 4)] * 2] * 2 + [[]] * 2 and solved == ["A_1"] * 2
+    # a certified run ranks the window once, in decompose_row; a run whose
+    # proof fails ranks nothing and solves
+    assert ranked == [[(2, [2], 4)]] * 2 + [[]] * 2 and solved == ["A_1"] * 2
     assert runs[:2] == runs[2:] and runs[0][0] == EXIT_OK
 
 
 @pytest.mark.parametrize("name, failing", [
-    ("certify_rows", lambda rows, order: ((0, 1, 2), {}, [])),
+    ("prove_rows", lambda rows, order: ([], [], 0)),
     ("ring_step_holds", lambda polys, k: k != 4),
     ("window_ranks", lambda columns, sizes, order: [m - 1 for m in sizes]),
 ], ids=["certificate", "ring-step", "window-rank"])
@@ -396,6 +396,37 @@ def test_decompose_row_refuses_what_decompose_refuses():
         _certify.decompose_row(0, 2, 20)
     with pytest.raises(ValueError, match="too small"):
         _certify.decompose_row(3, 6, 10)
+
+
+def test_decompose_row_reads_a_proved_row_and_nothing_is_solved(capsys, monkeypatch):
+    solved = spy_solves(monkeypatch)
+    found = _certify.decompose_row(5, 12, 120)
+    assert found == decompose(gen_direct(Family.A, 5, 120), 12, 120, "A_5")
+    argv = ["decompose", "--k", "5", "--weight-bound", "12", "--order", "120"]
+    assert run(capsys, argv)[0] == EXIT_OK and solved == []
+
+
+@pytest.mark.parametrize("k, weight_bound, stubs, rc", [
+    (3, 4, {}, EXIT_NO_SOLUTION),
+    (5, 12, {"prove_rows": lambda rows, order, prove=_certify.prove_rows:
+             (*prove(rows, order)[:2], len(rows) - 1)}, EXIT_OK),
+    (5, 12, {"K_FULL_RANK": 0,
+             "window_ranks": lambda columns, sizes, order: [m - 1 for m in sizes]}, EXIT_OK),
+], ids=["below-weight-2k", "held-at-k", "short-window"])
+def test_decompose_row_returns_none_and_the_cli_solves(capsys, monkeypatch, k, weight_bound,
+                                                       stubs, rc):
+    # where the proof does not decide A_k, decompose_row returns None and the
+    # CLI solves exactly, once; below weight 2k no proof runs at all
+    for name, value in stubs.items():
+        monkeypatch.setattr(_certify, name, value)
+    proofs, prove = [], _certify.prove_rows
+    monkeypatch.setattr(_certify, "prove_rows",
+                        lambda rows, order: proofs.append(len(rows) - 1) or prove(rows, order))
+    assert _certify.decompose_row(k, weight_bound, 120) is None
+    assert proofs == ([k] if weight_bound >= 2 * k else [])
+    solved = spy_solves(monkeypatch)
+    argv = ["decompose", "--k", str(k), "--weight-bound", str(weight_bound), "--order", "120"]
+    assert run(capsys, argv)[0] == rc and solved == [f"A_{k}"]
 
 
 @pytest.mark.parametrize("argv", [

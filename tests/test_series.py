@@ -365,6 +365,22 @@ def test_json_roundtrip():
     ({"order": 1, "coeffs": ["1", "2", "3"]}, "needs 2 coefficients"),
     ({"order": 2.9, "coeffs": ["1", "2", "3"]}, "must be an int"),
     ({"order": -1, "coeffs": []}, "nonnegative"),
+    # the wire holds exact strings 'p' or 'p/q' only: nothing is read in binary,
+    # as another container, with whitespace, in decimal or over zero
+    ({"order": 1, "coeffs": [0.1, 2]}, "list of strings"),
+    ({"order": 1, "coeffs": [1, "2"]}, "list of strings"),
+    ({"order": 1, "coeffs": "12"}, "list of strings"),
+    ({"order": 1, "coeffs": {"1": 0, "2": 0}}, "list of strings"),
+    ({"order": 1, "coeffs": ("1", "2")}, "list of strings"),
+    ({"order": 0, "coeffs": ["1.5"]}, "list of strings"),
+    ({"order": 0, "coeffs": ["1e3"]}, "list of strings"),
+    ({"order": 0, "coeffs": [" 1"]}, "list of strings"),
+    ({"order": 0, "coeffs": ["1 "]}, "list of strings"),
+    ({"order": 0, "coeffs": ["+1"]}, "list of strings"),
+    ({"order": 0, "coeffs": ["1/-2"]}, "list of strings"),
+    ({"order": 0, "coeffs": ["1/0"]}, "list of strings"),
+    ({"order": 0, "coeffs": ["1/00"]}, "list of strings"),
+    ({"order": 0, "coeffs": ["\u0661"]}, "list of strings"),  # an Arabic-Indic 1
 ])
 def test_json_malformed_series_refused(obj, match):
     with pytest.raises(ValueError, match=match):

@@ -275,7 +275,7 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
     # the C_1 probe and the report
     k_max, order = 5, 100
     clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
-    difference, details, _ = _certify.certify_rows(clean, order)
+    difference, details = _certify.certify_rows(clean, order)
     report = verify_quasimodularity(k_max, order)
     assert difference is None
     assert details == {key: v for key, v in report.details.items() if key != "C_1_probe"}
@@ -283,7 +283,7 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
     for k, exponent, delta in [(1, 40, 1), (3, 5, -3), (5, 90, Fraction(1, 7))]:
         p = Perturbation(f"A_{k}", exponent, delta)
         rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
-        difference, details, _ = _certify.certify_rows(rows, order)
+        difference, details = _certify.certify_rows(rows, order)
         report = verify_quasimodularity(k_max, order, perturb=p)
         assert Mismatch(None, *difference) == report.first_mismatch, p
         assert details == report.details, p
@@ -291,22 +291,27 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
 
 
 def test_certify_rows_returns_the_polynomials_it_carries_through_the_order(monkeypatch):
-    # every P_k on clean rows; past a failing check, or a failing ring step
-    # that the window pin takes over, only the P_k below it
+    # prove_rows holds every P_k on clean rows; a failing check, or a failing
+    # ring step, holds only the P_k below it, and there certify_rows pins
+    # the rest on the solve windows
     k_max, order = 5, 100
     polys = recurrence_polynomials(k_max)
     clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
-    assert _certify.certify_rows(clean, order)[2] == polys
+    differences, found, held = _certify.prove_rows(clean, order)
+    assert found == polys and held == k_max + 1 and differences == [None] * (k_max + 1)
     p = Perturbation("A_3", 5, -3)
     rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
-    difference, _, proved = _certify.certify_rows(rows, order)
-    assert difference is not None and proved == polys[:3]
+    differences, _, held = _certify.prove_rows(rows, order)
+    assert held == 3 and differences[3] is not None
+    assert _certify.certify_rows(rows, order)[0] == differences[3]
     ring_step = _certify.ring_step_holds
     monkeypatch.setattr(
         _certify, "ring_step_holds", lambda found, k: k != 4 and ring_step(found, k)
     )
-    difference, _, proved = _certify.certify_rows(clean, order)
-    assert difference is None and proved == polys[:4]
+    differences, _, held = _certify.prove_rows(clean, order)
+    assert held == 4 and differences == [None] * (k_max + 1)
+    difference, details = _certify.certify_rows(clean, order)
+    assert difference is None and list(details) == [f"A_{k}" for k in range(1, k_max + 1)]
 
 
 def full_order_mismatch(k_max, order, columns, perturb):
