@@ -6,52 +6,77 @@ families A_k and C_k by four independent routes, rescaled Chebyshev
 polynomials and their bivariate theta series, verification suites for the
 triple-product identities connecting them, and constructive quasi-modular
 decompositions over E2, E4, E6.
+
+`import qdiv` imports none of its submodules: a public name, or a submodule
+such as `qdiv.series`, is imported when it is first read (PEP 562).
 """
 
-from .macmahon import (
-    BivarSeries,
-    Family,
-    IntPolynomial,
-    cheb_coeff_closed,
-    cheb_rescaled,
-    gen_direct,
-    gen_explicit,
-    gen_recurrence,
-    oracle_a,
-    oracle_c,
-    theta_f,
-    theta_g,
-)
-from .quasimodular import (
-    DivisorFitResult,
-    NoDecompositionError,
-    QMDecomposition,
-    QMMonomial,
-    decompose,
-    eval_decomposition,
-    fit_divisor_form,
-    monomial_basis,
-)
-from .series import (
-    NonInvertibleSeriesError,
-    QSeries,
-    divisor_sigma,
-    eisenstein,
-    pochhammer_inf,
-    sigma_series,
-)
-from .verify import (
-    Mismatch,
-    Perturbation,
-    VerificationReport,
-    perturbable_targets,
-    verify_method_agreement,
-    verify_quasimodularity,
-    verify_theorem_f,
-    verify_theorem_g,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Each public name's home module.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "BivarSeries",
+            "Family",
+            "IntPolynomial",
+            "cheb_coeff_closed",
+            "cheb_rescaled",
+            "gen_direct",
+            "gen_explicit",
+            "gen_recurrence",
+            "oracle_a",
+            "oracle_c",
+            "theta_f",
+            "theta_g",
+        ),
+        "macmahon",
+    ),
+    **dict.fromkeys(
+        (
+            "DivisorFitResult",
+            "NoDecompositionError",
+            "QMDecomposition",
+            "QMMonomial",
+            "decompose",
+            "eval_decomposition",
+            "fit_divisor_form",
+            "monomial_basis",
+        ),
+        "quasimodular",
+    ),
+    **dict.fromkeys(
+        (
+            "NonInvertibleSeriesError",
+            "QSeries",
+            "divisor_sigma",
+            "eisenstein",
+            "pochhammer_inf",
+            "sigma_series",
+        ),
+        "series",
+    ),
+    **dict.fromkeys(
+        (
+            "Mismatch",
+            "Perturbation",
+            "VerificationReport",
+            "perturbable_targets",
+            "verify_method_agreement",
+            "verify_quasimodularity",
+            "verify_theorem_f",
+            "verify_theorem_g",
+        ),
+        "verify",
+    ),
+}
+
+_SUBMODULES = frozenset(
+    {"_certify", "_kernels_py", "_newton", "cli", "linalg", "macmahon", "quasimodular",
+     "series", "verify"}
+)
 
 
 def kernel_backend() -> str:
@@ -59,41 +84,17 @@ def kernel_backend() -> str:
     return "python"
 
 
-__all__ = [
-    "BivarSeries",
-    "DivisorFitResult",
-    "Family",
-    "IntPolynomial",
-    "Mismatch",
-    "NoDecompositionError",
-    "NonInvertibleSeriesError",
-    "Perturbation",
-    "QMDecomposition",
-    "QMMonomial",
-    "QSeries",
-    "VerificationReport",
-    "cheb_coeff_closed",
-    "cheb_rescaled",
-    "decompose",
-    "divisor_sigma",
-    "eisenstein",
-    "eval_decomposition",
-    "fit_divisor_form",
-    "gen_direct",
-    "gen_explicit",
-    "gen_recurrence",
-    "kernel_backend",
-    "monomial_basis",
-    "oracle_a",
-    "oracle_c",
-    "perturbable_targets",
-    "pochhammer_inf",
-    "sigma_series",
-    "theta_f",
-    "theta_g",
-    "verify_method_agreement",
-    "verify_quasimodularity",
-    "verify_theorem_f",
-    "verify_theorem_g",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "kernel_backend", "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # the import binds it here too
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list:
+    return list(__all__)

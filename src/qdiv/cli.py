@@ -12,25 +12,52 @@ variable QDIV_MAX_ORDER (default 2000) caps every --order as a safety net.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import os
 import sys
-from typing import Optional, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from ._certify import decompose_row
 from .macmahon import Family, gen_direct, gen_explicit, gen_recurrence, oracle_a, oracle_c
-from .quasimodular import NoDecompositionError, check_basis_size, decompose
 from .series import QSeries, run_scope
-from .verify import (
-    VerificationReport,
-    verify_method_agreement,
-    verify_quasimodularity,
-    verify_theorem_f,
-    verify_theorem_g,
-)
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .verify import VerificationReport
+
+# The callees of `verify` and `decompose`, by home module.  `main` binds them
+# as globals of this module when one of those commands starts, so `coeffs`
+# never compiles the suites, the certificate or the exact solver.  They are
+# bound before argparse, json and csv are imported: compiling the package's
+# modules after those raises the command's peak RSS.
+_CALLEES = {
+    "decompose_row": "_certify",
+    "NoDecompositionError": "quasimodular",
+    "check_basis_size": "quasimodular",
+    "decompose": "quasimodular",
+    "verify_method_agreement": "verify",
+    "verify_quasimodularity": "verify",
+    "verify_theorem_f": "verify",
+    "verify_theorem_g": "verify",
+}
+
+
+def _bind_callees() -> None:
+    """Bind each name of `_CALLEES` that is not bound yet; a binding already
+    there, such as a wrapper or a test's stand-in, is kept."""
+    names = globals()
+    for name, home in _CALLEES.items():
+        if name not in names:
+            names[name] = getattr(import_module(f".{home}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _CALLEES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_callees()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -119,6 +146,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         series = fn(family, args.k, args.order)
 
     if args.format == "json":
+        import json
+
         obj = {
             "family": family.value,
             "k": args.k,
@@ -127,6 +156,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         }
         text = json.dumps(obj, indent=2) + "\n"
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for n in range(1, args.order + 1):
@@ -148,6 +179,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     _check_order(args.order)
+    import json
+
     weight_bound = 2 * args.k if args.weight_bound is None else args.weight_bound
     _check_basis_size(weight_bound, args.order)
     try:
@@ -191,6 +224,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _run_suites(suite: str, k_max: int, order: int) -> list[VerificationReport]:
+    import json
+
     reports: list[VerificationReport] = []
     if suite in ("all", "agreement"):
         for family in (Family.A, Family.C):
@@ -218,6 +253,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_basis_size(2 * args.k_max, args.order)
     reports = _run_suites(args.suite, args.k_max, args.order)
     if args.format == "json":
+        import json
+
         text = json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"
     else:
         text = "\n".join(r.summary_line() for r in reports) + "\n"
@@ -229,6 +266,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qdiv",
         description=(
@@ -287,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] in (["verify"], ["decompose"]):  # the top-level parser takes only a command or -h
+        _bind_callees()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

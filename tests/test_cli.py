@@ -25,38 +25,52 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
-def run_fresh(argv, timeout):
-    """Run the CLI in a fresh process that is killed after `timeout` seconds."""
+def python_child(args, timeout, check=False):
+    """Run `python -B <args>` in a fresh process with only PATH and the
+    package's source directory set; -B keeps the child from writing bytecode
+    caches into src, which later timings of this checkout would read."""
     env = {
         "PATH": os.environ.get("PATH", ""),
         "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
     }
     return subprocess.run(
-        [sys.executable, "-m", "qdiv.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, "-B", *args],
+        capture_output=True, text=True, env=env, timeout=timeout, check=check,
     )
 
 
+def run_fresh(argv, timeout):
+    """Run the CLI in a fresh process that is killed after `timeout` seconds."""
+    return python_child(["-m", "qdiv.cli", *argv], timeout)
+
+
 def fresh_imports(statements):
-    """Modules that `statements` load in a fresh interpreter.
+    """Modules that `statements` load in a fresh interpreter, in the order
+    of `sys.modules`.
 
     The snapshot is taken after start-up, so modules that `site` loads
-    from third-party .pth files are not counted against the package.
+    from third-party .pth files are not counted against the package.  The
+    list goes to stderr, so the statements may write to stdout.
     """
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         f"{statements}\n"
-        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        "sys.stderr.write(' '.join(m for m in sys.modules if m not in before))\n"
     )
-    env = {
-        "PATH": os.environ.get("PATH", ""),
-        "PYTHONPATH": str(Path(qdiv.__file__).resolve().parents[1]),
-    }
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        timeout=60, check=True,
-    ).stdout.split()
+    return python_child(["-c", code], timeout=60, check=True).stderr.split()
+
+
+def package_modules(statements):
+    """The qdiv modules that `statements` load in a fresh interpreter."""
+    return {name for name in fresh_imports(statements) if name.partition(".")[0] == "qdiv"}
+
+
+def test_children_write_no_bytecode():
+    # run_fresh is python_child with `-m qdiv.cli`
+    child = python_child(["-c", "import sys; print(sys.flags.dont_write_bytecode)"], timeout=60)
+    assert child.stdout == "1\n"
+    assert fresh_imports("print(sys.flags.dont_write_bytecode, file=sys.stderr)") == ["1"]
 
 
 def test_import_loads_only_the_standard_library():
@@ -65,13 +79,26 @@ def test_import_loads_only_the_standard_library():
     # records are named tuples and traceback is loaded only on failure, so
     # no start-up pays for the dataclasses -> inspect chain
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}.isdisjoint(out)
-    # the package loads every module of its own, the certificate and
-    # Newton's row builder included; only the CLI is left to its importer
-    package = Path(qdiv.__file__).parent
-    modules = {f"qdiv.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"}
-    assert modules - {"qdiv.cli"} <= set(fresh_imports("import qdiv"))
+    # the package imports a submodule only when one of its names is read, and
+    # the CLI at import only what `coeffs` runs
+    assert package_modules("import qdiv") == {"qdiv"}
+    coeffs_modules = {"qdiv", "qdiv.cli", "qdiv.series", "qdiv._kernels_py", "qdiv.macmahon",
+                      "qdiv._newton"}
+    assert package_modules("import qdiv.cli") == coeffs_modules
+    cli_run = "from qdiv.cli import main\nassert main({}) == 0"
+    argv = ["coeffs", "--family", "A", "--k", "2", "--order", "20", "--format", "json"]
+    assert package_modules(cli_run.format(argv)) == coeffs_modules
+    assert package_modules(cli_run.format(["--help"])) == coeffs_modules
+    # verify and decompose bind their callees before argparse is imported:
+    # compiling the package's modules after it raises the command's peak RSS
+    for argv in (["verify", "--suite", "theorem-f", "--k-max", "1", "--order", "10"],
+                 ["decompose", "--k", "1", "--order", "10"]):
+        loaded = fresh_imports(cli_run.format(argv))
+        for name in ("qdiv.verify", "qdiv._certify", "qdiv.quasimodular", "qdiv.linalg"):
+            assert loaded.index(name) < loaded.index("argparse"), (argv, name)
     # the exact path stands on its own: quasimodular, imported without the
     # package's __init__, loads neither the certificate nor what imports it
+    package = Path(qdiv.__file__).parent
     alone = fresh_imports(
         "import types\n"
         "sys.modules['qdiv'] = package = types.ModuleType('qdiv')\n"
@@ -87,6 +114,50 @@ def test_import_loads_only_the_standard_library():
     ]
     assert outside == []
 
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in qdiv.__all__:
+        value = getattr(qdiv, name)
+        if name not in ("kernel_backend", "__version__"):
+            assert value.__module__.startswith("qdiv."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    for name in ("series", "macmahon", "quasimodular", "verify"):
+        assert getattr(qdiv, name) is importlib.import_module(f"qdiv.{name}")
+    star = {}
+    exec("from qdiv import *", star)
+    assert set(star) - {"__builtins__"} == set(qdiv.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qdiv.no_such_name
+    # after a bare `import qdiv`, reading a submodule imports it and its imports only
+    assert package_modules("import qdiv\nqdiv.series.run_scope") == {
+        "qdiv", "qdiv.series", "qdiv._kernels_py"}
+
+
+def test_cli_binds_its_callees_when_read_and_keeps_a_binding_already_there():
+    # before any command has run, the names that perfbench/layers.py wraps
+    # resolve to the library's own callables
+    child = python_child(["-c", (
+        "import qdiv.cli as cli\n"
+        "names = ['verify_method_agreement', 'verify_quasimodularity', 'verify_theorem_f',\n"
+        "         'verify_theorem_g', 'decompose']\n"
+        "resolved = [getattr(cli, name) for name in names]\n"
+        "from qdiv import quasimodular, verify\n"
+        "assert resolved == [getattr(verify, name) for name in names[:4]] + [quasimodular.decompose]\n"
+    )], timeout=60)
+    assert child.returncode == 0, child.stderr
+    # a stand-in bound before the first `verify` command is the one it runs
+    child = python_child(["-c", (
+        "import sys\n"
+        "import qdiv.cli as cli\n"
+        "from qdiv.verify import Mismatch, VerificationReport\n"
+        "failed = VerificationReport('theorem-f', {'k_max': 0, 'order': 10}, 10, 'fail',\n"
+        "                            Mismatch(1, 2, 3, 4), 0.0)\n"
+        "cli.verify_theorem_f = lambda k_max, order: failed\n"
+        "sys.exit(cli.main(['verify', '--suite', 'theorem-f']))\n"
+    )], timeout=60)
+    assert child.returncode == EXIT_NO_SOLUTION, child.stderr
+    assert child.stdout.startswith("FAIL")
 
 # -- coeffs -----------------------------------------------------------------------
 

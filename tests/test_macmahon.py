@@ -206,8 +206,11 @@ def test_newton_rows_refuse_a_sum_that_j_does_not_divide(monkeypatch):
 
 def test_newton_rows_refuse_it_under_python_O():
     # the same fault in a child run with -O, which strips asserts, as its
-    # own `assert False` shows; the divisibility check still raises
+    # own `assert False` shows; the divisibility check still raises.  -B
+    # keeps the child from writing .opt-1.pyc files into src.
     code = (
+        "import sys\n"
+        "print(sys.flags.dont_write_bytecode)\n"
         "from qdiv import _newton\n"
         "assert False\n"
         "signed_sum = _newton._signed_sum\n"
@@ -219,9 +222,10 @@ def test_newton_rows_refuse_it_under_python_O():
     )
     env = {"PYTHONPATH": str(Path(_newton.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-B", "-O", "-c", code], capture_output=True, text=True, env=env,
+        timeout=60,
     )
-    assert proc.stdout == "refused\n", proc.stderr
+    assert proc.stdout == "1\nrefused\n", proc.stderr
 
 
 def newton_side(family, k):
