@@ -73,11 +73,6 @@ _EXPORTS = {
     ),
 }
 
-_SUBMODULES = frozenset(
-    {"_certify", "_kernels_py", "_newton", "cli", "linalg", "macmahon", "quasimodular",
-     "series", "verify"}
-)
-
 
 def kernel_backend() -> str:
     """Name of the kernel implementation; there is one, in pure Python."""
@@ -88,12 +83,17 @@ __all__ = [*_EXPORTS, "kernel_backend", "__version__"]
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)  # the import binds it here too
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    return value
+    if name in _EXPORTS:
+        value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+        return value
+    if name.isidentifier():
+        # a submodule's name, or none; the import binds a submodule here too
+        try:
+            return import_module(f".{name}", __name__)
+        except ModuleNotFoundError as e:
+            if e.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list:

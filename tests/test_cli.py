@@ -74,7 +74,21 @@ def test_children_write_no_bytecode():
 
 
 def test_import_loads_only_the_standard_library():
-    out = fresh_imports("import qdiv, qdiv.cli")
+    # every module of the package, and what the commands load when they run,
+    # so the checks on `out` guard all of it however lazily it is loaded
+    package = Path(qdiv.__file__).parent
+    modules = sorted(f"qdiv.{path.stem}" for path in package.glob("*.py")
+                     if path.stem != "__init__")
+    out = fresh_imports(
+        f"import qdiv, {', '.join(modules)}\n"
+        "from qdiv.cli import main\n"
+        "for argv in (['coeffs', '--family', 'A', '--k', '1', '--order', '3', '--format', 'csv'],\n"
+        "             ['coeffs', '--family', 'C', '--k', '1', '--order', '3', '--format', 'json'],\n"
+        "             ['verify', '--suite', 'all', '--k-max', '1', '--order', '10'],\n"
+        "             ['decompose', '--k', '1', '--order', '10', '--format', 'json']):\n"
+        "    assert main(argv) == 0\n"
+    )
+    assert set(modules) <= set(out)
     assert "qdiv.cli" in out
     # records are named tuples and traceback is loaded only on failure, so
     # no start-up pays for the dataclasses -> inspect chain
@@ -98,7 +112,6 @@ def test_import_loads_only_the_standard_library():
             assert loaded.index(name) < loaded.index("argparse"), (argv, name)
     # the exact path stands on its own: quasimodular, imported without the
     # package's __init__, loads neither the certificate nor what imports it
-    package = Path(qdiv.__file__).parent
     alone = fresh_imports(
         "import types\n"
         "sys.modules['qdiv'] = package = types.ModuleType('qdiv')\n"
@@ -115,15 +128,16 @@ def test_import_loads_only_the_standard_library():
     assert outside == []
 
 
-
 def test_public_names_resolve_to_their_home_modules():
     for name in qdiv.__all__:
         value = getattr(qdiv, name)
         if name not in ("kernel_backend", "__version__"):
             assert value.__module__.startswith("qdiv."), name
             assert getattr(sys.modules[value.__module__], name) is value, name
-    for name in ("series", "macmahon", "quasimodular", "verify"):
-        assert getattr(qdiv, name) is importlib.import_module(f"qdiv.{name}")
+    # every submodule resolves the same way, with no list of them to keep
+    for path in Path(qdiv.__file__).parent.glob("*.py"):
+        if path.stem != "__init__":
+            assert getattr(qdiv, path.stem) is importlib.import_module(f"qdiv.{path.stem}")
     star = {}
     exec("from qdiv import *", star)
     assert set(star) - {"__builtins__"} == set(qdiv.__all__)
