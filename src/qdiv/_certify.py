@@ -5,10 +5,13 @@ the paper's recurrence and Ramanujan's identities (`RAMANUJAN_D`), with no
 linear algebra.  `prove_rows` carries them onto the rows of the defining
 sum through the whole order, by the four checks its docstring states;
 `certify_rows` adds the suite's report, and `decompose_row` reads A_k's
-decomposition from the proof or leaves it to the caller's exact solve.  A
-proved polynomial is what `decompose` would find when the window it solves
-has full rank; one rule, `basis_ranks`, decides that: by the constant
-`K_FULL_RANK`, else by `window_ranks`, packed modulo `_RANK_PRIME`.
+decomposition from the proof or leaves it to the caller's exact solve.
+Only the series checks read the rows, so only they can fail on a row.  The
+ring steps read k alone: one that fails is a defect of this module, and
+raises ArithmeticError.  A proved polynomial is what `decompose` would
+find when the window it solves has full rank; one rule, `basis_ranks`,
+decides that: by the constant `K_FULL_RANK`, else by `window_ranks`,
+packed modulo `_RANK_PRIME`.
 
 The exact path's rules stay in `quasimodular`: the solve window
 `_solve_top`, the column build `_monomial_series` and the report's
@@ -36,7 +39,6 @@ from .quasimodular import (
     _integer_combination,
     check_basis_size,
     monomial_basis,
-    monomial_columns,
 )
 from .series import QSeries
 
@@ -309,7 +311,7 @@ def basis_ranks(weight: int, sizes: list[int], order: int) -> list[int]:
     return window_ranks(_monomial_residues(monomial_basis(weight), top), sizes, order)
 
 
-def prove_rows(rows: list[QSeries], order: int) -> tuple[list, list, int]:
+def prove_rows(rows: list[QSeries], order: int) -> tuple[list, list]:
     """Prove rows[1..k_max] = A_1..A_{k_max}, each exact through `order`,
     as polynomials in E2, E4, E6 of weight <= 2k: the paper's induction, as
     four exact checks, with D = q d/dq and P_k = `recurrence_polynomials(k_max)[k]`:
@@ -330,12 +332,13 @@ def prove_rows(rows: list[QSeries], order: int) -> tuple[list, list, int]:
     Checks 1-3 run through `order`, the steps before any column is built,
     so their work does not add to the memory the columns hold.  Only the
     columns checks 1 and 2 read (8 at most) are built exactly through
-    `order`.  Returns (differences, polys, held): differences[k] is the
-    first failing series check on A_k (1 and 2 for k = 1, 3 above) as
-    (exponent, row coefficient, candidate value), a step's candidate being
-    its numerator over (2k+1) 2k, or None; polys is P_0..P_{k_max}; held,
-    where ring steps stop, is the least k whose series check or ring step
-    fails, or k_max + 1: S(P_k) = rows[k] through `order` for all k < held.
+    `order`.  Check 4 reads no row: a step that fails raises
+    ArithmeticError naming P_k.  Returns (differences, polys):
+    differences[k] is the first failing series check on A_k (1 and 2 for
+    k = 1, 3 above) as (exponent, row coefficient, candidate value), a
+    step's candidate being its numerator over (2k+1) 2k, or None; polys is
+    P_0..P_{k_max}.  S(P_k) = rows[k] through `order` for every k with no
+    difference at 1..k.
     """
     k_max = len(rows) - 1
     polys = recurrence_polynomials(k_max)
@@ -354,34 +357,27 @@ def prove_rows(rows: list[QSeries], order: int) -> tuple[list, list, int]:
         differences[1] = differences[1] or _candidate_difference(image, columns, derivative, order)
     differences[1] = differences[1] or _candidate_difference(polys[1], columns, rows[1], order)
     columns = derivative = None  # hold no full-order series through the ring steps
-    held = 1
-    while held <= k_max and not differences[held] and (held < 2 or ring_step_holds(polys, held)):
-        held += 1
-    return differences, polys, held
+    for k in range(2, k_max + 1):
+        if not ring_step_holds(polys, k):
+            raise ArithmeticError(f"the ring step into P_{k} fails: recurrence_polynomials is wrong")
+    return differences, polys
 
 
 def certify_rows(rows: list[QSeries], order: int) -> tuple[Optional[tuple], dict]:
-    """The quasimodular suite's report on `prove_rows`: once a ring step
-    fails, that P_k and every later one are pinned against rows[k] on the
-    window `decompose` would solve, coefficients 0.._solve_top(m_k, order)
-    of the weight-2k basis's m_k monomials, on exact columns of weight
-    <= 2k_max built then.  `ambiguous` is false where that window has full
-    rank by `basis_ranks`, ranked once the proof's columns are freed, else
-    `decompose` decides it.  Returns (difference, details): the first
-    failing check's (exponent, row coefficient, candidate value), k by k,
-    or None, and each A_k certified before it with its weight bound, term
-    count and `ambiguous`.
+    """The quasimodular suite's report on `prove_rows`.  Returns
+    (difference, details): the first failing series check's (exponent, row
+    coefficient, candidate value), k by k, or None, and each A_k certified
+    before it with its weight bound, term count and `ambiguous`.
+    `ambiguous` is false where the window `decompose` would solve, of the
+    weight-2k basis, has full rank by `basis_ranks`, ranked once the
+    proof's columns are freed; elsewhere `decompose` decides it.
     """
-    differences, polys, held = prove_rows(rows, order)
+    differences, polys = prove_rows(rows, order)
     k_max = len(rows) - 1
     sizes = [len(monomial_basis(2 * k)) for k in range(1, k_max + 1)]
-    windows = [quasimodular._solve_top(m, order) for m in sizes]
     ranks = basis_ranks(2 * k_max, sizes, order)
-    pinned, details = None, {}  # pinned: the exact window columns, once a ring step fails
+    details = {}
     for k, difference in enumerate(differences[1:], 1):
-        if difference is None and k >= held:
-            pinned = pinned or monomial_columns(2 * k_max, windows[-1])
-            difference = _candidate_difference(polys[k], pinned, rows[k], windows[k - 1])
         if difference is not None:
             return difference, details
         if ranks[k - 1] == sizes[k - 1]:
@@ -400,16 +396,17 @@ def decompose_row(k: int, weight_bound: int, order: int) -> Optional[QMDecomposi
     """`decompose` of A_k, the row k of the defining sum through `order`, at
     `weight_bound`, from `prove_rows` on rows 0..k (feasible by the basis-size
     check), or None for the caller's exact solve.  S(P_k) = A_k through
-    `order` when k < held; if the window `decompose` solves at weight_bound
-    >= 2k has full rank too (`basis_ranks`, the one window ranked), P_k
-    padded with zeros is its only solution.  weight_bound < 2k runs no proof.
+    `order` when no series check through k fails; if the window `decompose`
+    solves at weight_bound >= 2k has full rank too (`basis_ranks`, the one
+    window ranked), P_k padded with zeros is its only solution.
+    weight_bound < 2k runs no proof.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     check_basis_size(weight_bound, order)
     if weight_bound >= 2 * k:
-        _, polys, held = prove_rows(_direct_table(Family.A, k, order), order)
+        differences, polys = prove_rows(_direct_table(Family.A, k, order), order)
         basis = monomial_basis(weight_bound)
-        if k < held and basis_ranks(weight_bound, [len(basis)], order) == [len(basis)]:
+        if not any(differences) and basis_ranks(weight_bound, [len(basis)], order) == [len(basis)]:
             terms = {m: polys[k][m] for m in basis if m in polys[k]}
             return QMDecomposition(terms, weight_bound, order, f"A_{k}")

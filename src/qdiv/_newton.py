@@ -27,7 +27,8 @@ def rows(step: int, k: int, order: int) -> list:
 
     all with nonnegative coefficients.  e_0..e_{k-1} and p_1..p_k are kept
     only `_Packed`, and `_signed_sum` takes each row's sum with one int
-    multiply per term: about k^2/2 for the table.  The packed j*e_j is
+    multiply per term, except that the two terms with the factor p_1 = e_1
+    share one: about k^2/2 for the table.  The packed j*e_j is
     divided by j once.  j divides every one of its coefficients exactly
     when the remainder is 0 and j times each slot of the quotient still
     fits a slot (the digits of j*quotient are then those of j*e_j); both
@@ -58,23 +59,36 @@ def rows(step: int, k: int, order: int) -> list:
 def _signed_sum(pairs: list, n: int) -> tuple:
     """(total, width): the first n coefficients of sum_i (-1)^(i-1) e*p over
     the `_Packed` (e, p) of `pairs`, numbered from i = 1, packed into the
-    int total at `width` bytes a slot.  They must be nonnegative.
+    int total at `width` bytes a slot.  They must be nonnegative.  The
+    pairs are Newton's, (e_{j-i}, p_i) for j = len(pairs).
 
     Each coefficient of the sum is at most n * sum max(e) * max(p) over the
     terms of sign +, and the slot width of `width` bytes holds that and
     every operand.  Each operand is widened to it and each product is one
-    int multiply.  The sum is read modulo 2^(8*width*n), so its first n
-    slots are its first n coefficients whatever the other slots hold.
+    int multiply.  For j = len(pairs), e_1 = p_1, so the terms i = 1 and
+    i = j - 1, e_{j-1} p_1 and (-1)^j e_1 p_{j-1}, are one product
+    p_1 (e_{j-1} + (-1)^j p_{j-1}), and at j = 2 the one term e_1 p_1 is
+    p_1 squared.  That factor may hold negative slots: evaluating at
+    2^(8*width) is a ring map, so the sum is still read exactly modulo
+    2^(8*width*n), its first n slots being its first n coefficients
+    whatever the other slots hold.
     """
     bound = n * sum(e.top * p.top for e, p in pairs[::2])
     width = max(bound.bit_length() // 8 + 1, *(max(e.width, p.width) for e, p in pairs))
-    total = 0
-    for i, (e, p) in enumerate(pairs, 1):
-        product = _widen(e, width) * _widen(p, width)
-        if i & 1:
-            total += product
-        else:
-            total -= product
+    j = len(pairs)
+    p1 = _widen(pairs[0][1], width)
+    factor = p1 if j == 2 else _widen(pairs[0][0], width)  # e_{j-1}
+    if j > 2:
+        tail = _widen(pairs[j - 2][1], width)  # p_{j-1}
+        factor = factor - tail if j & 1 else factor + tail
+    total = p1 * factor
+    for i, (e, p) in enumerate(pairs[1:], 2):
+        if i != j - 1:
+            product = _widen(e, width) * _widen(p, width)
+            if i & 1:
+                total += product
+            else:
+                total -= product
     return total & ((1 << 8 * width * n) - 1), width
 
 

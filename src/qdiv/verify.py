@@ -314,7 +314,7 @@ def verify_quasimodularity(
     """Certify A_1..A_{k_max} as polynomials in E2, E4, E6 of weight <= 2k.
 
     The report's mismatch and details are `certify_rows`'s, `prove_rows`
-    with the window pin and ranks, on the rows through `order`.  When every
+    with the window ranks, on the rows through `order`.  When every
     check holds, an informational probe shows that the odd-part family's C_1
     does NOT decompose in this basis (expected; its failure does not fail
     the suite), with a `decompose` of its own two columns, 1 and E2.  Raises

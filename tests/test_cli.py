@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -343,13 +344,18 @@ def test_decompose_usage_errors(capsys):
     assert rc == EXIT_USAGE  # csv applies only to coefficient tables
 
 
+def failed_proof(rows, order):
+    """A `prove_rows` stub whose series check on A_1 fails at q^0."""
+    return [None, (0, 0, 1)], []
+
+
 def decompose_both_ways(capsys, monkeypatch, argv):
     """(rc, out) of `decompose` for text and JSON, as run and then with the
     certificate made to fail, so that every answer comes from the exact solve."""
     runs = []
     for failing in (False, True):
         if failing:
-            monkeypatch.setattr(_certify, "prove_rows", lambda rows, order: ([], [], 0))
+            monkeypatch.setattr(_certify, "prove_rows", failed_proof)
         runs.append([run(capsys, ["decompose", *argv, "--format", fmt])[:2]
                      for fmt in ("text", "json")])
     monkeypatch.undo()
@@ -416,7 +422,7 @@ def test_decompose_window_cut_at_the_order_is_ranked(capsys, monkeypatch):
     monkeypatch.setattr(_certify, "window_ranks", spy)
     solved = spy_solves(monkeypatch)
     runs = []
-    for prove in (_certify.prove_rows, lambda rows, order: ([], [], 0)):
+    for prove in (_certify.prove_rows, failed_proof):
         monkeypatch.setattr(_certify, "prove_rows", prove)
         for fmt in ("text", "json"):
             ranked.append([])
@@ -429,14 +435,13 @@ def test_decompose_window_cut_at_the_order_is_ranked(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name, failing", [
-    ("prove_rows", lambda rows, order: ([], [], 0)),
-    ("ring_step_holds", lambda polys, k: k != 4),
+    ("prove_rows", failed_proof),
     ("window_ranks", lambda columns, sizes, order: [m - 1 for m in sizes]),
-], ids=["certificate", "ring-step", "window-rank"])
+], ids=["certificate", "window-rank"])
 def test_decompose_falls_back_to_the_solve(capsys, monkeypatch, name, failing):
-    # a failing certificate, a ring step that does not hold, or a window
-    # short of full rank (ranked live once K_FULL_RANK decides nothing):
-    # the answer is the exact solve's, as it would have been
+    # a failing series check, or a window short of full rank (ranked live
+    # once K_FULL_RANK decides nothing): the answer is the exact solve's, as
+    # it would have been
     argv = ["decompose", "--k", "5", "--weight-bound", "12", "--order", "120",
             "--format", "json"]
     certified = run(capsys, argv)[:2]
@@ -445,6 +450,28 @@ def test_decompose_falls_back_to_the_solve(capsys, monkeypatch, name, failing):
     monkeypatch.setattr(_certify, "K_FULL_RANK", 0)
     assert run(capsys, argv)[:2] == certified
     assert certified[0] == EXIT_OK and solved == ["A_5"]
+
+
+@pytest.mark.parametrize("delta", [3, Fraction(-2, 7)], ids=["int", "fraction"])
+@pytest.mark.parametrize("k", [2, 6], ids=["first-k", "k-max"])
+def test_corrupted_recurrence_polynomial_is_an_internal_error(capsys, monkeypatch, k, delta):
+    # a wrong P_k is a defect of the ring code, not a verdict on the rows:
+    # the suite and decompose of A_k both exit 1, name P_k and report nothing
+    polys = _certify.recurrence_polynomials
+    term = sorted(polys(k)[k])[1]
+
+    def corrupted(n):
+        found = polys(n)
+        found[k][term] += delta
+        return found
+
+    monkeypatch.setattr(_certify, "recurrence_polynomials", corrupted)
+    solved = spy_solves(monkeypatch)
+    for argv in (["verify", "--suite", "quasimodular", "--k-max", "6", "--order", "120"],
+                 ["decompose", "--k", str(k), "--order", "120"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == EXIT_INTERNAL and out == "" and f"P_{k} " in err, argv
+    assert solved == []
 
 
 @pytest.mark.parametrize("argv, steps", [
@@ -491,13 +518,18 @@ def test_decompose_row_reads_a_proved_row_and_nothing_is_solved(capsys, monkeypa
     assert run(capsys, argv)[0] == EXIT_OK and solved == []
 
 
+def failing_at_k(rows, order, prove=_certify.prove_rows):
+    """`prove_rows`, with the series check on the last row made to fail."""
+    differences, polys = prove(rows, order)
+    return differences[:-1] + [(0, 0, 1)], polys
+
+
 @pytest.mark.parametrize("k, weight_bound, stubs, rc", [
     (3, 4, {}, EXIT_NO_SOLUTION),
-    (5, 12, {"prove_rows": lambda rows, order, prove=_certify.prove_rows:
-             (*prove(rows, order)[:2], len(rows) - 1)}, EXIT_OK),
+    (5, 12, {"prove_rows": failing_at_k}, EXIT_OK),
     (5, 12, {"K_FULL_RANK": 0,
              "window_ranks": lambda columns, sizes, order: [m - 1 for m in sizes]}, EXIT_OK),
-], ids=["below-weight-2k", "held-at-k", "short-window"])
+], ids=["below-weight-2k", "series-check-fails-at-k", "short-window"])
 def test_decompose_row_returns_none_and_the_cli_solves(capsys, monkeypatch, k, weight_bound,
                                                        stubs, rc):
     # where the proof does not decide A_k, decompose_row returns None and the

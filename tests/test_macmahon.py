@@ -300,12 +300,21 @@ def test_row_builders_use_no_series_kernel(monkeypatch):
 @pytest.mark.parametrize("seed", range(2))
 def test_signed_sum_slots_hold_every_coefficient(seed):
     # a coefficient of the sum can exceed every operand's width and every
-    # product of two maxima: with all operands 255 it is 255^2 * (s + 1)
+    # product of two maxima: with all operands 255 it is 255^2 * (s + 1).
+    # Two or more pairs are Newton's, (e_{j-i}, p_i) with e_1 = p_1 and
+    # e_0 = 1; at j = 3 every slot of p_1's factor e_2 - p_2 is negative
     rng = random.Random(7400 + seed)
     n = rng.randint(300, 1200)
     big = [[rng.randint(100, 255) for _ in range(n)] for _ in range(2)]
-    small = [[rng.randint(0, 40) for _ in range(rng.randint(1, n))] for _ in range(2)]
-    for pairs in ([[255] * n] * 2,), (big,), (big, small):
+    small = [rng.randint(0, 40) for _ in range(rng.randint(1, n))]
+    p1, p2 = big
+    p3 = [255 * 255 * n] * n
+    for pairs in (
+        ([[255] * n] * 2,),
+        (big,),
+        ([p1, p1], [[1], small]),
+        ([small, p1], [p1, p2], [[1], p3]),
+    ):
         expected = [0] * n
         for i, (e, p) in enumerate(pairs):
             product = _kernels_py.conv_schoolbook(e, p, n - 1)

@@ -291,27 +291,26 @@ def test_certify_rows_returns_the_report_mismatch_and_details():
 
 
 def test_certify_rows_returns_the_polynomials_it_carries_through_the_order(monkeypatch):
-    # prove_rows holds every P_k on clean rows; a failing check, or a failing
-    # ring step, holds only the P_k below it, and there certify_rows pins
-    # the rest on the solve windows
+    # prove_rows carries every P_k onto clean rows; a failing series check
+    # is the report's mismatch, and a failing ring step, which reads no
+    # row, is an internal error that names P_k
     k_max, order = 5, 100
     polys = recurrence_polynomials(k_max)
     clean = [gen_direct(Family.A, k, order) for k in range(k_max + 1)]
-    differences, found, held = _certify.prove_rows(clean, order)
-    assert found == polys and held == k_max + 1 and differences == [None] * (k_max + 1)
+    differences, found = _certify.prove_rows(clean, order)
+    assert found == polys and differences == [None] * (k_max + 1)
     p = Perturbation("A_3", 5, -3)
     rows = [verify._tap(row, f"A_{j}", p) for j, row in enumerate(clean)]
-    differences, _, held = _certify.prove_rows(rows, order)
-    assert held == 3 and differences[3] is not None
+    differences, found = _certify.prove_rows(rows, order)
+    assert found == polys and differences[3] is not None
     assert _certify.certify_rows(rows, order)[0] == differences[3]
     ring_step = _certify.ring_step_holds
     monkeypatch.setattr(
         _certify, "ring_step_holds", lambda found, k: k != 4 and ring_step(found, k)
     )
-    differences, _, held = _certify.prove_rows(clean, order)
-    assert held == 4 and differences == [None] * (k_max + 1)
-    difference, details = _certify.certify_rows(clean, order)
-    assert difference is None and list(details) == [f"A_{k}" for k in range(1, k_max + 1)]
+    for certify in (_certify.prove_rows, _certify.certify_rows):
+        with pytest.raises(ArithmeticError, match="P_4 "):
+            certify(clean, order)
 
 
 def full_order_mismatch(k_max, order, columns, perturb):
@@ -345,8 +344,8 @@ def test_quasimodular_mismatch_matches_the_full_order_reference(k_max, order):
 
 
 def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
-    # the induction holds whatever the polynomials say; only the window pin
-    # sees a wrong coefficient
+    # the series checks hold whatever the polynomials say; the ring step
+    # into P_3 sees a wrong coefficient, and the suite stops on it
     polys = _certify.recurrence_polynomials
 
     def nudged(k_max):
@@ -355,16 +354,15 @@ def test_quasimodularity_pins_the_recurrence_polynomials(monkeypatch):
         return found
 
     monkeypatch.setattr(_certify, "recurrence_polynomials", nudged)
-    r = verify_quasimodularity(4, 100)
-    assert not r.passed
-    assert r.first_mismatch.q_exponent <= len(monomial_basis(6)) + 4
+    with pytest.raises(ArithmeticError, match="P_3 "):
+        verify_quasimodularity(4, 100)
 
 
 @pytest.mark.parametrize("delta", [3, Fraction(-2, 7)], ids=["int", "fraction"])
 @pytest.mark.parametrize("k", [2, 6], ids=["first-k", "k-max"])
 def test_corrupted_recurrence_polynomial_fails_the_suite_at_k(monkeypatch, k, delta):
-    # a wrong P_k breaks the ring step into k; from there the suite pins P_k
-    # on the window decompose would solve, and reports what that pin finds
+    # a wrong P_k breaks the ring step into k, which no row can mend: the
+    # suite raises on it, naming P_k, and reports nothing
     k_max, order = 6, 120
     polys = _certify.recurrence_polynomials
     term = sorted(polys(k_max)[k])[1]
@@ -375,15 +373,9 @@ def test_corrupted_recurrence_polynomial_fails_the_suite_at_k(monkeypatch, k, de
         return found
 
     monkeypatch.setattr(_certify, "recurrence_polynomials", corrupted)
-    r = verify_quasimodularity(k_max, order)
-    window = quasimodular._solve_top(len(monomial_basis(2 * k)), order)
-    columns = monomial_columns(2 * k_max, order)
-    row = gen_direct(Family.A, k, order)
-    expected = _certify._candidate_difference(corrupted(k_max)[k], columns, row, window)
-    assert expected is not None
-    assert r.first_mismatch == Mismatch(None, *expected)
-    assert type(r.first_mismatch.rhs_coefficient) is type(expected[2])
-    assert list(r.details) == [f"A_{j}" for j in range(1, k)]
+    assert not _certify.ring_step_holds(corrupted(k_max), k)
+    with pytest.raises(ArithmeticError, match=f"P_{k} "):
+        verify_quasimodularity(k_max, order)
 
 
 def test_quasimodularity_checks_ramanujan_identities(monkeypatch):
